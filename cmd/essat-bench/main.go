@@ -72,27 +72,6 @@ type scaleBench struct {
 	BytesPerRun  float64 `json:"bytes_per_run"`
 }
 
-// parallelPoint is one shard count's timing in the parallel sweep.
-// Events can differ across shard counts (the conservative mesh is a
-// documented approximation, not trace-identical to sequential), so
-// events_per_sec is each configuration's own throughput; speedup is
-// the wall-time ratio against the sweep's shards=1 run.
-type parallelPoint struct {
-	Shards       int     `json:"shards"`
-	LookaheadUs  float64 `json:"lookahead_us"`
-	RunSeconds   float64 `json:"run_seconds"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup,omitempty"`
-}
-
-// parallelTier is one scale-tier scenario swept across shard counts.
-type parallelTier struct {
-	Scenario string          `json:"scenario"`
-	Nodes    int             `json:"nodes"`
-	Points   []parallelPoint `json:"points"`
-}
-
 // benchReport is the top-level -benchjson document.
 type benchReport struct {
 	GoVersion   string      `json:"go_version"`
@@ -106,11 +85,7 @@ type benchReport struct {
 	Figures     []figBench  `json:"figures"`
 	Scale       *scaleBench `json:"scale,omitempty"`
 	Huge        *scaleBench `json:"huge,omitempty"`
-	// Parallel records the sharded-engine sweep (-shards) over the
-	// -scale/-huge tiers; single-run multi-core speedup, honest to
-	// num_cpu — on a 1-core host expect barrier overhead, not speedup.
-	Parallel []parallelTier `json:"parallel,omitempty"`
-	Total    figBench       `json:"total"`
+	Total       figBench    `json:"total"`
 }
 
 // memCounters snapshots the process's cumulative heap-allocation
@@ -137,13 +112,12 @@ func main() {
 		scale    = flag.String("scale", "", "also run this scenario spec once (e.g. testdata/large.json) and record a 'scale' section in the report")
 		huge     = flag.String("huge", "", "also run this 10k-node scenario spec (e.g. testdata/huge.json) and record a 'huge' section in the report")
 		sweep    = flag.Int("sweep", 5, "repeated-spec sweep length for the -scale/-huge sections (steady-state allocs/run measurement)")
-		shards   = flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8) to sweep the sharded parallel engine over the -scale/-huge tiers; records a 'parallel' report section")
 		arena    = flag.Bool("arena", true, "reuse per-worker memory arenas and the shared deployment cache across runs (-arena=false measures the pre-arena path; results are identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 		audit    = flag.Bool("audit", false, "run every scenario under the cross-layer invariant auditor (results unchanged; violations abort)")
 	)
-	ablations := flag.Bool("ablations", false, "also run the DESIGN.md ablation and robustness studies")
+	ablations := flag.Bool("ablations", false, "also run the ablation and robustness studies (see ARCHITECTURE.md, \"Ablations\")")
 	flag.Var(&figs, "fig", "figure to regenerate (2-9 or 'overhead'); repeatable, default all")
 	flag.Parse()
 
@@ -273,34 +247,6 @@ func main() {
 			sb.Scenario, sb.Nodes, sb.BuildSeconds, sb.RunSeconds, sb.EventsPerSec, sb.AllocsPerRun, sb.SweepRuns)
 	}
 
-	if *shards != "" {
-		counts, err := parseShardCounts(*shards)
-		if err != nil {
-			fatal(err)
-		}
-		tiers := []string{}
-		if *scale != "" {
-			tiers = append(tiers, *scale)
-		}
-		if *huge != "" {
-			tiers = append(tiers, *huge)
-		}
-		if len(tiers) == 0 {
-			fatal(fmt.Errorf("-shards needs at least one tier via -scale/-huge"))
-		}
-		for _, path := range tiers {
-			pt, err := runParallelTier(path, counts)
-			if err != nil {
-				fatal(err)
-			}
-			report.Parallel = append(report.Parallel, *pt)
-			for _, p := range pt.Points {
-				fmt.Printf("parallel tier (%s) shards=%d: run %.2fs, %.0f events/sec, speedup %.2fx (on %d CPUs)\n",
-					path, p.Shards, p.RunSeconds, p.EventsPerSec, p.Speedup, runtime.NumCPU())
-			}
-		}
-	}
-
 	if *outJSON != "" {
 		report.Total = figBench{ID: "total", WallSeconds: wall.Seconds()}
 		var totalAllocs, totalBytes float64
@@ -404,64 +350,6 @@ func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
 		sb.BytesPerRun = float64(b1-b0) / float64(sweepRuns)
 	}
 	return sb, nil
-}
-
-// parseShardCounts decodes the -shards sweep list.
-func parseShardCounts(s string) ([]int, error) {
-	var counts []int
-	for _, f := range strings.Split(s, ",") {
-		var k int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &k); err != nil || k < 1 || k > 64 {
-			return nil, fmt.Errorf("bad shard count %q (want integers in 1..64)", f)
-		}
-		counts = append(counts, k)
-	}
-	return counts, nil
-}
-
-// runParallelTier runs one scale-tier scenario once per shard count,
-// timing the event-loop drain. Speedup is wall-time relative to the
-// sweep's own shards=1 run; without a shards=1 point it is omitted.
-// Runs build on the bare heap (no arena) — the sweep measures the
-// conservative window engine, not the allocator.
-func runParallelTier(path string, counts []int) (*parallelTier, error) {
-	tier := &parallelTier{Scenario: path}
-	var base float64
-	for _, k := range counts {
-		spec, err := essat.LoadSpec(path)
-		if err != nil {
-			return nil, err
-		}
-		spec.Parallelism = &essat.ParallelismSpec{Shards: k}
-		sc, err := spec.Scenario()
-		if err != nil {
-			return nil, err
-		}
-		s, err := essat.Build(sc)
-		if err != nil {
-			return nil, err
-		}
-		tier.Nodes = sc.Topology.NumNodes
-		runStart := time.Now()
-		s.Simulate()
-		res := s.Collect()
-		runWall := time.Since(runStart).Seconds()
-		pt := parallelPoint{
-			Shards:       k,
-			LookaheadUs:  float64(s.ShardLookahead().Nanoseconds()) / 1e3,
-			RunSeconds:   runWall,
-			Events:       res.Events,
-			EventsPerSec: float64(res.Events) / runWall,
-		}
-		if k == 1 && base == 0 {
-			base = runWall
-		}
-		if base > 0 {
-			pt.Speedup = base / runWall
-		}
-		tier.Points = append(tier.Points, pt)
-	}
-	return tier, nil
 }
 
 // throughput snapshots the run counters accumulated since the last reset

@@ -69,8 +69,6 @@ func main() {
 		records  = flag.String("records", "", "write every run's metric-sink records to this file (\"-\" = stdout), schema-validated")
 		recFmt   = flag.String("records-format", "jsonl", "records export format: jsonl (one JSON record per line) or csv (flattened long format, one value per row)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per run; a run exceeding it aborts with exit code 2 (0 = unlimited)")
-		shards   = flag.Int("shards", 0, "run the engine sharded over N spatial partitions (0 = spec/default sequential; overrides a spec file's parallelism block)")
-		lookahd  = flag.Duration("lookahead", 0, "cross-shard lookahead override for -shards > 1 (0 = derive from topology + MAC DIFS)")
 	)
 	flag.Parse()
 
@@ -136,11 +134,6 @@ func main() {
 	}
 	if *audit {
 		spec.Audit = true
-	}
-	if *shards > 0 {
-		spec.Parallelism = &essat.ParallelismSpec{Shards: *shards, Lookahead: essat.Dur(*lookahd)}
-	} else if *lookahd > 0 {
-		fatal(errors.New("-lookahead requires -shards"))
 	}
 	if *sinks != "" {
 		rs := &essat.ResultsSpec{}

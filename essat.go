@@ -250,11 +250,6 @@ type (
 	RadioSpec     = experiment.RadioSpec
 )
 
-// ParallelismSpec is the Spec form of the sharded parallel engine:
-// shard count and optional lookahead override. See the "Parallel event
-// loop" section of ARCHITECTURE.md.
-type ParallelismSpec = experiment.ParallelismSpec
-
 // ResultsSpec and SinkSpec are the Spec forms of the results pipeline:
 // a list of metric sinks from the stats registry observing the run,
 // whose records land in Result.Records.
@@ -409,19 +404,19 @@ func OverheadPhaseUpdates(o Options, rates []float64) (*Figure, error) {
 }
 
 // AblationBreakEvenGuard compares the Safe Sleep break-even guard
-// against naive sleep-any-gap scheduling (DESIGN.md ablation).
+// against naive sleep-any-gap scheduling (see ARCHITECTURE.md, "Ablations").
 func AblationBreakEvenGuard(o Options) (*Figure, error) {
 	return experiment.AblationBreakEvenGuard(o)
 }
 
 // AblationBuffering compares early-report buffering against greedy early
-// sends (DESIGN.md ablation).
+// sends (see ARCHITECTURE.md, "Ablations").
 func AblationBuffering(o Options) (*Figure, error) {
 	return experiment.AblationBuffering(o)
 }
 
 // AblationTreeConstruction compares the simulated setup-flood tree
-// against an idealized min-hop BFS tree (DESIGN.md ablation).
+// against an idealized min-hop BFS tree (see ARCHITECTURE.md, "Ablations").
 func AblationTreeConstruction(o Options) (*Figure, error) {
 	return experiment.AblationTreeConstruction(o)
 }

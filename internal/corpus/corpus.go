@@ -235,17 +235,6 @@ func buildSpec(rng *rand.Rand, cfg Config, idx int, proto, gen, prop, prof, dyn 
 	case 3:
 		spec.Results = &experiment.ResultsSpec{Sinks: []experiment.SinkSpec{{Name: stats.SinkJSONL}}}
 	}
-
-	// Parallel-engine coverage: calm, sink-free items run under the
-	// sharded conservative-window engine (alternating 2 and 4 shards),
-	// so campaigns continuously prove the parallel path journals,
-	// retries, and merges exactly like the sequential one. Items with
-	// features the parallel build gates (dynamics, radio-observing
-	// sinks) stay sequential. The condition is deterministic in idx —
-	// no rng draw — so pre-parallel corpora regenerate identically.
-	if dyn == "calm" && idx%4 != 1 && idx%4 != 3 {
-		spec.Parallelism = &experiment.ParallelismSpec{Shards: 2 + 2*(idx/10%2)}
-	}
 	return spec
 }
 

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// The ablation drivers isolate the design choices DESIGN.md calls out:
-// the Safe Sleep break-even guard, the shapers' early-report buffering,
-// and the flood-vs-BFS tree construction. RobustnessLoss sweeps transient
-// packet loss against the §4.3 maintenance mechanisms.
+// The ablation drivers isolate three design choices (ARCHITECTURE.md,
+// "Ablations", gives the rationale): the Safe Sleep break-even guard,
+// the shapers' early-report buffering, and the flood-vs-BFS tree
+// construction. RobustnessLoss sweeps transient packet loss against the
+// §4.3 maintenance mechanisms.
 
 // AblationBreakEvenGuard compares DTS-SS with the Safe Sleep break-even
 // guard enabled (tBE = the radio's real break-even time) against a naive

@@ -116,26 +116,18 @@ func (s *Sim) SimulateContext(ctx context.Context, b Budget) error {
 			return &BudgetExceededError{
 				Resource: "wall-clock",
 				Budget:   b,
-				Events:   s.processed(),
+				Events:   s.Eng.Processed(),
 				Elapsed:  time.Since(start),
 			}
 		}
 		return nil
 	}
-	var err error
-	if len(s.engines) > 1 {
-		// Parallel runs poll the budget at window barriers (the only
-		// single-threaded points), so event-budget enforcement is
-		// barrier-granular rather than exact.
-		_, err = s.runner().RunChecked(s.Scenario.Duration, b.MaxEvents, check)
-	} else {
-		_, err = s.Eng.RunChecked(s.Scenario.Duration, b.MaxEvents, check)
-	}
+	_, err := s.Eng.RunChecked(s.Scenario.Duration, b.MaxEvents, check)
 	if errors.Is(err, sim.ErrEventBudget) {
 		err = &BudgetExceededError{
 			Resource: "events",
 			Budget:   b,
-			Events:   s.processed(),
+			Events:   s.Eng.Processed(),
 			Elapsed:  time.Since(start),
 		}
 	}

@@ -1,166 +1,136 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/essat/essat/internal/dynamics"
 )
 
-// parallelScenario is the smoke setup with auditing on (the digest is
-// the determinism witness) and the given shard count.
-func parallelScenario(p Protocol, seed int64, shards int) Scenario {
+// shardsScenario is the smoke setup with auditing on (the digest is the
+// byte-identity witness) and the given Scenario.Shards value.
+func shardsScenario(p Protocol, seed int64, shards int) Scenario {
 	sc := smokeScenario(p, seed)
 	sc.Audit = true
 	sc.Shards = shards
 	return sc
 }
 
-// TestShardCountInvariance pins the parallel engine's determinism
-// contract: a 1-shard run is byte-identical to the sequential engine
-// (same digest, same event count), and every shard count is
-// deterministic run-to-run — the digest depends on (seed, K, lookahead)
-// only, never on goroutine interleaving.
-func TestShardCountInvariance(t *testing.T) {
-	seq, err := Run(parallelScenario(DTSSS, 42, 0))
-	if err != nil {
-		t.Fatal(err)
+// sameRun fails t unless a and b are the same run: equal audit digest
+// and event count.
+func sameRun(t *testing.T, a, b *Result) {
+	t.Helper()
+	if a.Audit == nil || a.Audit.Digest == "" {
+		t.Fatal("run produced no audit digest")
 	}
-	if seq.Audit == nil || seq.Audit.Digest == "" {
-		t.Fatal("sequential run produced no audit digest")
+	if a.Audit.Digest != b.Audit.Digest {
+		t.Errorf("digest %s != %s", a.Audit.Digest, b.Audit.Digest)
 	}
+	if a.Events != b.Events {
+		t.Errorf("events %d != %d", a.Events, b.Events)
+	}
+}
 
-	one, err := Run(parallelScenario(DTSSS, 42, 1))
+// TestShardCountInvariance pins what is left of Scenario.Shards now that
+// the sharded engine is gone: 0 and 1 both mean the one sequential event
+// loop and give byte-identical runs, and every count above 1 fails the
+// build with the removal error instead of silently running sequentially.
+func TestShardCountInvariance(t *testing.T) {
+	seq, err := Run(shardsScenario(DTSSS, 42, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Audit.Digest != seq.Audit.Digest {
-		t.Errorf("shards=1 digest %s != sequential %s", one.Audit.Digest, seq.Audit.Digest)
+	one, err := Run(shardsScenario(DTSSS, 42, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if one.Events != seq.Events {
-		t.Errorf("shards=1 events %d != sequential %d", one.Events, seq.Events)
-	}
+	sameRun(t, one, seq)
 
 	for _, k := range []int{2, 3, 4} {
 		k := k
 		t.Run(string(rune('0'+k))+"shards", func(t *testing.T) {
-			a, err := Run(parallelScenario(DTSSS, 42, k))
-			if err != nil {
-				t.Fatal(err)
+			_, err := Run(shardsScenario(DTSSS, 42, k))
+			if err == nil {
+				t.Fatalf("shards=%d: expected a build error", k)
 			}
-			b, err := Run(parallelScenario(DTSSS, 42, k))
-			if err != nil {
-				t.Fatal(err)
+			if !strings.Contains(err.Error(), "Scenario.Shards was removed") {
+				t.Errorf("shards=%d: error %q does not name the removed field", k, err)
 			}
-			if a.Audit.Digest != b.Audit.Digest {
-				t.Errorf("shards=%d not deterministic: %s vs %s", k, a.Audit.Digest, b.Audit.Digest)
-			}
-			if a.Events != b.Events {
-				t.Errorf("shards=%d event counts differ: %d vs %d", k, a.Events, b.Events)
-			}
-			// The sharded run must still be a working network, not just a
-			// deterministic one: reports cross shard boundaries and reach
-			// the root.
-			if a.Latency.N == 0 {
-				t.Error("no query latency samples reached the root")
-			}
-			if a.Coverage < float64(a.TreeSize)/2 {
-				t.Errorf("coverage %.1f below half the tree (%d)", a.Coverage, a.TreeSize)
-			}
-			if a.DutyCycle <= 0 || a.DutyCycle > 1 {
-				t.Errorf("duty cycle %v out of range", a.DutyCycle)
-			}
-			t.Logf("shards=%d: digest=%s events=%d coverage=%.1f/%d duty=%.1f%%",
-				k, a.Audit.Digest, a.Events, a.Coverage, a.TreeSize, a.DutyCycle*100)
 		})
 	}
 }
 
-// TestParallelAllProtocols smokes every registered protocol under the
-// sharded engine: the stacks were written single-threaded, and shard
-// confinement is what keeps them correct here.
+// TestParallelAllProtocols: for every registered protocol, Shards=1 is
+// the default run, byte for byte.
 func TestParallelAllProtocols(t *testing.T) {
 	for _, p := range AllProtocols {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			res, err := Run(parallelScenario(p, 42, 4))
+			seq, err := Run(shardsScenario(p, 42, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Latency.N == 0 {
-				t.Fatal("no query latency samples reached the root")
+			one, err := Run(shardsScenario(p, 42, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRun(t, one, seq)
+			if one.Latency.N == 0 {
+				t.Error("no query latency samples reached the root")
 			}
 		})
 	}
 }
 
-// TestParallelLookaheadOverride: an explicit lookahead is honored and
-// changes boundary timing (different digest than the derived default),
-// while staying deterministic.
-func TestParallelLookaheadOverride(t *testing.T) {
-	sc := parallelScenario(DTSSS, 42, 4)
-	sc.Lookahead = 2 * time.Millisecond
-	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Audit.Digest != b.Audit.Digest {
-		t.Errorf("override not deterministic: %s vs %s", a.Audit.Digest, b.Audit.Digest)
-	}
-	if a.Latency.N == 0 {
-		t.Error("no query latency samples reached the root")
-	}
-}
-
-// TestParallelGates: features whose state crosses shard boundaries must
-// fail the build with a clear error, not race at runtime.
+// TestParallelGates: the four features the sharded engine had to switch
+// off (tracing, dynamics, the failure detector, radio-observing sinks)
+// are no longer gated on the shard count. Each builds with Shards=1 and
+// runs byte-identical to the same scenario without it.
 func TestParallelGates(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Scenario)
-		want string
 	}{
-		{"tracing", func(sc *Scenario) { sc.TraceCapacity = 64 }, "tracing"},
+		{"tracing", func(sc *Scenario) { sc.TraceCapacity = 64 }},
 		{"dynamics", func(sc *Scenario) {
-			sc.Dynamics = []Dynamic{{Kind: "crash"}}
-		}, "dynamics"},
-		{"failure-detector", func(sc *Scenario) { sc.QueryCfg.FailureThreshold = 3 }, "failure detector"},
+			sc.Dynamics = []Dynamic{{Kind: "crash", Params: dynamics.Params{At: 10 * time.Second, Count: 2}}}
+		}},
+		{"failure-detector", func(sc *Scenario) { sc.QueryCfg.FailureThreshold = 3 }},
 		{"radio-sink", func(sc *Scenario) {
 			sc.Sinks = []SinkChoice{{Name: "timeseries"}}
-		}, "radio-observing"},
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			sc := parallelScenario(DTSSS, 42, 2)
-			tc.mut(&sc)
-			_, err := Run(sc)
-			if err == nil {
-				t.Fatalf("%s: expected a build error with shards > 1", tc.name)
+			seqSc, oneSc := shardsScenario(DTSSS, 42, 0), shardsScenario(DTSSS, 42, 1)
+			tc.mut(&seqSc)
+			tc.mut(&oneSc)
+			seq, err := Run(seqSc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+			one, err := Run(oneSc)
+			if err != nil {
+				t.Fatalf("%s with shards=1: %v", tc.name, err)
 			}
+			sameRun(t, one, seq)
 		})
 	}
 }
 
-// TestParallelBudget: the event budget terminates a sharded run at
-// barrier granularity with the standard error type.
+// TestParallelBudget: with one event loop the event budget stops a run
+// at exactly MaxEvents; the sharded engine could only stop at a barrier.
 func TestParallelBudget(t *testing.T) {
-	sm, err := Build(parallelScenario(DTSSS, 42, 4))
-	if err != nil {
-		t.Fatal(err)
+	_, err := RunContext(context.Background(), shardsScenario(DTSSS, 42, 1), Budget{MaxEvents: 10_000})
+	var be *BudgetExceededError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v (%T), want *BudgetExceededError", err, err)
 	}
-	err = sm.SimulateContext(t.Context(), Budget{MaxEvents: 10_000})
-	be, ok := err.(*BudgetExceededError)
-	if !ok {
-		t.Fatalf("expected *BudgetExceededError, got %v", err)
-	}
-	if be.Resource != "events" || be.Events < 10_000 {
-		t.Errorf("unexpected budget report: %+v", be)
+	if be.Resource != "events" || be.Events != 10_000 {
+		t.Errorf("BudgetExceededError = {Resource: %q, Events: %d}, want {events, 10000}", be.Resource, be.Events)
 	}
 }

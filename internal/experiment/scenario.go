@@ -1,7 +1,8 @@
 // Package experiment builds and runs the paper's evaluation scenarios
 // (§5): 80 nodes in 500×500 m², three query classes with rate ratio
 // 6:3:2, five protocols, 200-second runs — and provides one driver per
-// figure of the paper plus the ablation studies from DESIGN.md.
+// figure of the paper plus the ablation studies (see ARCHITECTURE.md,
+// "Ablations").
 package experiment
 
 import (
@@ -182,24 +183,10 @@ type Scenario struct {
 	// runs are byte-identical with the auditor on or off.
 	Audit bool
 
-	// Shards enables the sharded parallel engine when > 1: the
-	// deployment is cut into that many spatial shards (topology
-	// partitioner), each running its own engine + channel lane on its
-	// own goroutine inside conservative windows of the cross-shard
-	// lookahead, with boundary traffic exchanged at window barriers
-	// (phy.Mesh). Cross-shard links behave as if they had `Lookahead`
-	// of propagation delay — the standard federated-simulation
-	// approximation — so results are deterministic per (seed, Shards,
-	// Lookahead) but not bit-identical across shard counts; Shards <= 1
-	// is the unmodified sequential engine. Tracing, dynamics injectors,
-	// the §4.3 failure detector, and radio-observing sinks are not yet
-	// supported in parallel mode and fail the build.
+	// Shards is the removed sharded engine's shard count, kept only so
+	// that Build rejects values above 1 instead of silently running
+	// sequentially.
 	Shards int
-	// Lookahead overrides the derived cross-shard latency; zero derives
-	// DIFS + worst-case propagation from the MAC and topology (see
-	// phy.CrossShardLookahead). Larger values cut barrier overhead at
-	// the cost of more boundary-timing distortion.
-	Lookahead time.Duration
 
 	// Sinks selects additional metric sinks from the stats registry
 	// ("timeseries", "energy", "jsonl", ...) to observe the run; the
@@ -371,37 +358,27 @@ func Run(sc Scenario) (*Result, error) {
 // exported pieces before Simulate.
 type Sim struct {
 	Scenario Scenario
-	// Eng is the (first) engine; parallel runs have one per shard, with
-	// Eng == engines[0]. Channel is likewise the first lane.
-	Eng     *sim.Engine
-	Topo    *topology.Topology
-	Tree    *routing.Tree
-	Channel *phy.Channel
-	Nodes   map[node.NodeID]*node.Node
-
-	engines   []*sim.Engine
-	chans     []*phy.Channel
-	mesh      *phy.Mesh
-	part      *topology.Partition
-	lookahead time.Duration
+	Eng      *sim.Engine
+	Topo     *topology.Topology
+	Tree     *routing.Tree
+	Channel  *phy.Channel
+	Nodes    map[node.NodeID]*node.Node
 
 	sink      *stats.RootSink
 	fan       *stats.Fanout
 	tracer    *trace.Tracer
-	auditors  []*check.Auditor
+	auditor   *check.Auditor
 	profile   radio.PowerProfile
 	activeAt0 []time.Duration
 	energyAt0 []float64
 
-	battery []shardBattery
+	firstDeath    time.Duration
+	batteryDeaths int
 }
 
-// shardBattery is one shard's battery-exhaustion accounting (written
-// only by that shard's goroutine); sequential runs use a single entry.
-type shardBattery struct {
-	firstDeath time.Duration
-	deaths     int
-}
+// shardsRemoved explains the rejection of the removed sharded engine's
+// inputs (Scenario.Shards > 1, a spec's parallelism block).
+const shardsRemoved = "the sequential engine is faster; see ARCHITECTURE.md"
 
 // Build constructs the scenario's simulation without running it: place
 // the topology (via the generator registry), build the routing tree,
@@ -426,20 +403,8 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	if sc.Duration <= 0 {
 		return nil, fmt.Errorf("experiment: non-positive duration %v", sc.Duration)
 	}
-	K := 1
 	if sc.Shards > 1 {
-		K = sc.Shards
-		// Features whose state is shared across nodes of different
-		// shards (and therefore across goroutines) are gated until they
-		// grow a parallel-safe path.
-		switch {
-		case sc.TraceCapacity > 0:
-			return nil, fmt.Errorf("experiment: tracing is not supported with shards > 1")
-		case len(sc.Dynamics) > 0:
-			return nil, fmt.Errorf("experiment: dynamics injectors are not supported with shards > 1")
-		case sc.QueryCfg.FailureThreshold > 0:
-			return nil, fmt.Errorf("experiment: the failure detector (tree re-parenting) is not supported with shards > 1")
-		}
+		return nil, fmt.Errorf("experiment: Scenario.Shards was removed with the sharded engine (%s)", shardsRemoved)
 	}
 	builder, ok := protocol.Lookup(sc.Protocol)
 	if !ok {
@@ -468,21 +433,7 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	if rcfg == (radio.Config{}) {
 		rcfg = prof.Config()
 	}
-	// Shard 0's engine is the arena's reusable one and carries all
-	// build-time randomness (placement, victim picks, flow endpoints),
-	// so a 1-shard build is bit-identical to the historical sequential
-	// path. Additional shards get fresh engines with their own arenas —
-	// per-shard freelists and slabs are what keep the hot path
-	// allocation-free without cross-goroutine sharing — and decorrelated
-	// rng streams.
-	engines := make([]*sim.Engine, K)
-	engines[0] = a.engine(sc.Seed)
-	for s := 1; s < K; s++ {
-		e := sim.New(sc.Seed ^ int64(s)*-0x61c8864680b583eb)
-		e.SetArena(sim.NewArena())
-		engines[s] = e
-	}
-	eng := engines[0]
+	eng := a.engine(sc.Seed)
 
 	// Gray-zone models deliver past the nominal range: widen the
 	// candidate-neighbor graph to the model's conservative maximum.
@@ -553,24 +504,10 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 		}
 	}
 
-	// Parallel mode: partition the plane and give every shard its own
-	// channel lane over the shared topology. Sequentially there is one
-	// lane and no partition.
-	var part *topology.Partition
-	if K > 1 {
-		part, err = topology.PartitionGrid(topo, K)
-		if err != nil {
-			return nil, err
-		}
+	ch, err := phy.NewChannel(eng, topo, chCfg)
+	if err != nil {
+		return nil, err
 	}
-	chans := make([]*phy.Channel, K)
-	for s := 0; s < K; s++ {
-		chans[s], err = phy.NewChannel(engines[s], topo, chCfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ch := chans[0]
 
 	macCfg := sc.MACCfg
 	if macCfg.SlotTime == 0 {
@@ -582,35 +519,6 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	// returned build error, never a crashed worker.
 	if err := macCfg.Validate(); err != nil {
 		return nil, err
-	}
-
-	// Mesh the lanes: boundary transmissions cross with `lookahead` of
-	// latency, deep-copied so pooled sender-side framing and payloads
-	// are never aliased across goroutines.
-	var mesh *phy.Mesh
-	lookahead := sc.Lookahead
-	if K > 1 {
-		if lookahead <= 0 {
-			lookahead = phy.CrossShardLookahead(topo, macCfg.DIFS)
-		}
-		mesh, err = phy.NewMesh(chans, part.Assign, lookahead, func(p any) any {
-			return mac.TransitClone(p, cloneTransitPayload)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	engOf := func(id node.NodeID) *sim.Engine {
-		if part == nil {
-			return eng
-		}
-		return engines[part.Assign[id]]
-	}
-	chOf := func(id node.NodeID) *phy.Channel {
-		if part == nil {
-			return ch
-		}
-		return chans[part.Assign[id]]
 	}
 	qCfg := sc.QueryCfg
 	if qCfg.ReportBytes == 0 {
@@ -650,9 +558,6 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 		observers = append(observers, extra)
 	}
 	fan := stats.NewFanout(observers...)
-	if K > 1 && fan.WantsRadio() {
-		return nil, fmt.Errorf("experiment: radio-observing sinks are not supported with shards > 1")
-	}
 
 	var tracer *trace.Tracer
 	if sc.TraceCapacity > 0 {
@@ -662,30 +567,15 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	// The invariant auditor observes every layer but never acts: with it
 	// enabled, the run stays byte-identical. All hooks installed here and
 	// in the per-node loop below are nil (and free) when auditing is off.
-	// Parallel runs get one auditor per shard, each observing its own
-	// engine and lane; Collect folds the summaries (check.Combine).
-	var auditors []*check.Auditor
+	var auditor *check.Auditor
 	auditProfile := prof.Power
 	if sc.Audit {
-		auditors = make([]*check.Auditor, K)
-		for s := range auditors {
-			ad := check.New(engines[s].Now)
-			engines[s].SetObserver(ad)
-			chans[s].SetObserver(ad)
-			for _, q := range sc.Queries {
-				ad.RegisterQuery(q)
-			}
-			auditors[s] = ad
+		auditor = check.New(eng.Now)
+		eng.SetObserver(auditor)
+		ch.SetObserver(auditor)
+		for _, q := range sc.Queries {
+			auditor.RegisterQuery(q)
 		}
-	}
-	auditorOf := func(id node.NodeID) *check.Auditor {
-		if auditors == nil {
-			return nil
-		}
-		if part == nil {
-			return auditors[0]
-		}
-		return auditors[part.Assign[id]]
 	}
 
 	params := protocol.Params{
@@ -706,47 +596,32 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	}
 	nodes := make(map[node.NodeID]*node.Node, tree.Size())
 	for _, id := range tree.Members() {
-		ne := engOf(id)
-		n := node.New(ne, id, tree, chOf(id), rcfg, macCfg)
+		n := node.New(eng, id, tree, ch, rcfg, macCfg)
 		if sc.RecordSleepIntervals {
 			n.Radio.RecordSleepIntervals()
 		}
 		if tracer != nil {
 			n.SetTracer(tracer)
 		}
-		adt := auditorOf(id)
 		var s query.Sink
 		if id == root {
 			s = fan
-			if adt != nil {
-				s = adt.WrapSink(s)
+			if auditor != nil {
+				s = auditor.WrapSink(s)
 			}
 		}
-		if adt != nil {
-			n.MAC.SetObserver(adt)
-			adt.WatchRadio(id, n.Radio, auditProfile)
-		}
-		if mesh != nil {
-			// A cross-shard unicast's ACK pays the mesh latency twice
-			// (data out, ACK back); widen the sender's ACK timeout so
-			// boundary links don't read as loss.
-			my := part.Assign[id]
-			slack := 2 * mesh.Latency()
-			n.MAC.SetAckSlack(func(dst phy.NodeID) time.Duration {
-				if dst >= 0 && part.Assign[dst] != my {
-					return slack
-				}
-				return 0
-			})
+		if auditor != nil {
+			n.MAC.SetObserver(auditor)
+			auditor.WatchRadio(id, n.Radio, auditProfile)
 		}
 		if fan.WantsRadio() {
 			id := id
 			n.Radio.Subscribe(func(old, new radio.State) {
-				fan.RadioChanged(int(id), old, new, ne.Now())
+				fan.RadioChanged(int(id), old, new, eng.Now())
 			})
 		}
 		if err := builder.Build(&protocol.BuildContext{
-			Eng:      ne,
+			Eng:      eng,
 			Node:     n,
 			Tree:     tree,
 			Sink:     s,
@@ -764,24 +639,16 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 		if _, ok := nodes[id]; ok {
 			continue
 		}
-		r := radio.New(engOf(id), rcfg)
-		darkMAC := mac.New(engOf(id), chOf(id), id, r, macCfg, discard{})
+		r := radio.New(eng, rcfg)
+		darkMAC := mac.New(eng, ch, id, r, macCfg, discard{})
 		_ = darkMAC
 		r.TurnOff()
 	}
 
-	// The build-time member list split by shard (one list, in tree-member
-	// order, when sequential). Global workload events — setup slots,
-	// stops, battery polls, the warm-up snapshot — schedule per shard
-	// over these lists so every engine touches only its own nodes.
-	shardMembers := make([][]node.NodeID, K)
-	for _, id := range tree.Members() {
-		s := 0
-		if part != nil {
-			s = int(part.Assign[id])
-		}
-		shardMembers[s] = append(shardMembers[s], id)
-	}
+	// The build-time member list. Global workload events — setup slots,
+	// stops, battery polls, the warm-up snapshot — sweep it rather than
+	// tree.Members() at fire time, which the failure detector may shrink.
+	members := append([]node.NodeID(nil), tree.Members()...)
 
 	for _, spec := range sc.Queries {
 		for _, id := range tree.Members() {
@@ -790,11 +657,7 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 			}
 		}
 		if sc.SetupSlot > 0 {
-			for s, members := range shardMembers {
-				if len(members) > 0 {
-					scheduleSetupSlot(engines[s], members, nodes, spec, sc.SetupSlot)
-				}
-			}
+			scheduleSetupSlot(eng, members, nodes, spec, sc.SetupSlot)
 		}
 	}
 	// Stops sweep the build-time member list, not tree.Members() at stop
@@ -804,19 +667,13 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	// nodes (channel-disabled) are skipped.
 	for _, stop := range sc.QueryStops {
 		stop := stop
-		for s, members := range shardMembers {
-			if len(members) == 0 {
-				continue
-			}
-			members := members
-			engines[s].Schedule(stop.At, func() {
-				for _, id := range members {
-					if !chOf(id).Disabled(id) {
-						nodes[id].Agent.Deregister(stop.Query)
-					}
+		eng.Schedule(stop.At, func() {
+			for _, id := range members {
+				if !ch.Disabled(id) {
+					nodes[id].Agent.Deregister(stop.Query)
 				}
-			})
-		}
+			}
+		})
 	}
 	if len(sc.PeerFlows) > 0 {
 		for _, id := range tree.Members() {
@@ -863,11 +720,11 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 			}
 		}
 	}
-	if auditors != nil {
+	if auditor != nil {
 		// Safe Sleep schedulers exist only after the protocol builders ran.
 		for _, id := range tree.Members() {
 			if ss := nodes[id].SS; ss != nil {
-				ss.SetObserver(id, auditorOf(id))
+				ss.SetObserver(id, auditor)
 			}
 		}
 	}
@@ -888,15 +745,14 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 			continue
 		}
 		v := victim
-		fch := chOf(v)
-		engOf(v).Schedule(f.At, func() {
+		eng.Schedule(f.At, func() {
 			// Guard on permanent disablement, not Killed(): a node the
 			// dynamics layer has temporarily crashed still reads as killed,
 			// but a configured failure must make its death permanent (the
 			// channel refuses to Resume a Disabled station).
-			if n, ok := nodes[v]; ok && !fch.Disabled(v) {
+			if n, ok := nodes[v]; ok && !ch.Disabled(v) {
 				n.Kill()
-				fch.Disable(v)
+				ch.Disable(v)
 			}
 		})
 	}
@@ -912,8 +768,8 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 			ch:      ch,
 			topo:    topo,
 			nodes:   nodes,
-			nodeIDs: append([]node.NodeID(nil), tree.Members()...),
-			auditor: auditorOf(root),
+			nodeIDs: members,
+			auditor: auditor,
 			crashed: make(map[node.NodeID]bool),
 		}
 		for i, d := range sc.Dynamics {
@@ -928,149 +784,78 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	}
 
 	sm := &Sim{
-		Scenario:  sc,
-		Eng:       eng,
-		Topo:      topo,
-		Tree:      tree,
-		Channel:   ch,
-		Nodes:     nodes,
-		engines:   engines,
-		chans:     chans,
-		mesh:      mesh,
-		part:      part,
-		lookahead: lookahead,
-		sink:      sink,
-		fan:       fan,
-		tracer:    tracer,
-		auditors:  auditors,
-		profile:   prof.Power,
+		Scenario: sc,
+		Eng:      eng,
+		Topo:     topo,
+		Tree:     tree,
+		Channel:  ch,
+		Nodes:    nodes,
+		sink:     sink,
+		fan:      fan,
+		tracer:   tracer,
+		auditor:  auditor,
+		profile:  prof.Power,
 	}
 
 	// Battery exhaustion: poll each node's consumption once per simulated
-	// second and kill nodes that drained their budget. One poll loop per
-	// shard, each writing its own accounting slot; Collect merges.
+	// second and kill nodes that drained their budget.
 	if sc.BatteryJ > 0 {
 		prof := sm.profile
-		sm.battery = make([]shardBattery, K)
-		for s := range engines {
-			members := shardMembers[s]
-			if len(members) == 0 {
-				continue
-			}
-			b := &sm.battery[s]
-			e := engines[s]
-			var check func()
-			check = func() {
-				for _, id := range members {
-					n := nodes[id]
-					if id == root || n.Killed() {
-						continue
-					}
-					if n.Radio.Energy(prof) >= sc.BatteryJ {
-						if b.firstDeath == 0 {
-							b.firstDeath = e.Now()
-						}
-						b.deaths++
-						n.Kill()
-						chOf(id).Disable(id)
-					}
+		var check func()
+		check = func() {
+			for _, id := range members {
+				n := nodes[id]
+				if id == root || n.Killed() {
+					continue
 				}
-				e.After(time.Second, check)
+				if n.Radio.Energy(prof) >= sc.BatteryJ {
+					if sm.firstDeath == 0 {
+						sm.firstDeath = eng.Now()
+					}
+					sm.batteryDeaths++
+					n.Kill()
+					ch.Disable(id)
+				}
 			}
-			e.After(time.Second, check)
+			eng.After(time.Second, check)
 		}
+		eng.After(time.Second, check)
 	}
 
-	// Snapshot radio accounting at MeasureFrom for warm-up exclusion.
-	// NodeID-indexed slices: shards write disjoint entries concurrently.
+	// Snapshot radio accounting at MeasureFrom for warm-up exclusion,
+	// into NodeID-indexed slices.
 	sm.activeAt0 = make([]time.Duration, topo.NumNodes())
 	sm.energyAt0 = make([]float64, topo.NumNodes())
 	profile := sm.profile
-	for s := range engines {
-		members := shardMembers[s]
-		if len(members) == 0 {
-			continue
+	eng.Schedule(sc.MeasureFrom, func() {
+		for _, id := range members {
+			n := nodes[id]
+			sm.activeAt0[id] = n.Radio.ActiveTime()
+			sm.energyAt0[id] = n.Radio.Energy(profile)
 		}
-		engines[s].Schedule(sc.MeasureFrom, func() {
-			for _, id := range members {
-				n := nodes[id]
-				sm.activeAt0[id] = n.Radio.ActiveTime()
-				sm.energyAt0[id] = n.Radio.Energy(profile)
-			}
-		})
-	}
+	})
 
 	return sm, nil
 }
 
 // Simulate drains the event queue up to the scenario's duration. It
-// must run exactly once, between Build and Collect. Parallel builds run
-// every shard's engine on its own goroutine inside conservative windows
-// of the cross-shard lookahead (sim.ShardRunner).
+// must run exactly once, between Build and Collect.
 func (s *Sim) Simulate() {
-	if len(s.engines) > 1 {
-		s.runner().Run(s.Scenario.Duration)
-		return
-	}
 	s.Eng.Run(s.Scenario.Duration)
-}
-
-// Shards reports how many engine shards this build executes on
-// (1 = the sequential path).
-func (s *Sim) Shards() int {
-	if len(s.engines) > 1 {
-		return len(s.engines)
-	}
-	return 1
-}
-
-// ShardLookahead reports the cross-shard lookahead of a parallel
-// build, zero for sequential ones.
-func (s *Sim) ShardLookahead() time.Duration {
-	if len(s.engines) > 1 {
-		return s.lookahead
-	}
-	return 0
-}
-
-// runner builds the conservative window runner for a parallel Sim.
-func (s *Sim) runner() *sim.ShardRunner {
-	return sim.NewShardRunner(s.engines, s.lookahead, s.mesh.Exchange)
-}
-
-// processed sums the executed-event counts over all shard engines.
-func (s *Sim) processed() uint64 {
-	var events uint64
-	for _, e := range s.engines {
-		events += e.Processed()
-	}
-	return events
 }
 
 // Collect aggregates the run's metrics into a Result. Call it after
 // Simulate.
 func (s *Sim) Collect() *Result {
-	var chStats phy.Stats
-	for _, c := range s.chans {
-		chStats.Add(c.Stats())
-	}
-	res := collect(s.Scenario, s.processed(), chStats, s.Tree, s.Nodes, s.sink, s.fan, s.profile, s.activeAt0, s.energyAt0)
+	res := collect(s.Scenario, s.Eng, s.Tree, s.Channel, s.Nodes, s.sink, s.fan, s.profile, s.activeAt0, s.energyAt0)
 	countRun(s.Scenario, res.Events)
-	for _, b := range s.battery {
-		if b.firstDeath > 0 && (res.FirstDeath == 0 || b.firstDeath < res.FirstDeath) {
-			res.FirstDeath = b.firstDeath
-		}
-		res.BatteryDeaths += b.deaths
-	}
+	res.FirstDeath = s.firstDeath
+	res.BatteryDeaths = s.batteryDeaths
 	if s.tracer != nil {
 		res.Trace = s.tracer.Events()
 	}
-	if s.auditors != nil {
-		parts := make([]*check.Summary, len(s.auditors))
-		for i, ad := range s.auditors {
-			parts[i] = ad.Summary()
-		}
-		res.Audit = check.Combine(parts)
+	if s.auditor != nil {
+		res.Audit = s.auditor.Summary()
 	}
 	return res
 }
@@ -1189,29 +974,6 @@ func scheduleSetupSlot(eng *sim.Engine, members []node.NodeID, nodes map[node.No
 	})
 }
 
-// cloneTransitPayload deep-copies the inner (above-MAC) payload of a
-// frame crossing shards. Reports are pooled (the sender recycles them
-// as soon as its own completion fires) and must be copied; commands and
-// peer messages are heap-shared across the sender's forwarding chain,
-// and copying them too keeps the no-cross-goroutine-aliasing rule
-// simple. All three are flat scalar structs, so a shallow copy is deep.
-// Everything else (JoinMsg, PhaseRequest, setupAnnounce, baseline
-// control markers) already travels by value.
-func cloneTransitPayload(p any) any {
-	switch v := p.(type) {
-	case *query.Report:
-		c := *v
-		return &c
-	case *core.Command:
-		c := *v
-		return &c
-	case *core.P2PMessage:
-		c := *v
-		return &c
-	}
-	return p
-}
-
 // discard is the upper layer for dark (non-member) nodes.
 type discard struct{}
 
@@ -1240,7 +1002,7 @@ func pickVictim(rng *rand.Rand, tree *routing.Tree) node.NodeID {
 	return routing.None
 }
 
-func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
+func collect(sc Scenario, eng *sim.Engine, tree *routing.Tree, ch *phy.Channel,
 	nodes map[node.NodeID]*node.Node, sink *stats.RootSink, fan *stats.Fanout, profile radio.PowerProfile,
 	activeAt0 []time.Duration, energyAt0 []float64) *Result {
 
@@ -1251,8 +1013,8 @@ func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
 		LatencyByClass: make(map[int]stats.DurationStats),
 		TreeSize:       tree.Size(),
 		MaxRank:        tree.MaxRank(),
-		Channel:        chStats,
-		Events:         events,
+		Channel:        ch.Stats(),
+		Events:         eng.Processed(),
 	}
 
 	window := float64(sc.Duration - sc.MeasureFrom)

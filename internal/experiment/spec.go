@@ -120,25 +120,10 @@ type Spec struct {
 	Dissemination []FlowSpec `json:"dissemination,omitempty"`
 	Peers         []FlowSpec `json:"peers,omitempty"`
 
-	// Parallelism runs the scenario on the sharded multi-core engine;
-	// omitted (or shards <= 1) keeps the sequential event loop.
-	Parallelism *ParallelismSpec `json:"parallelism,omitempty"`
-}
-
-// ParallelismSpec configures the sharded parallel engine: the
-// deployment is cut into Shards spatial bands, each simulated on its own
-// goroutine inside conservative windows of the cross-shard lookahead.
-// Results are deterministic per (seed, shards, lookahead) but not
-// bit-identical across shard counts — cross-shard links carry the
-// lookahead as extra propagation delay. Tracing, dynamics injectors,
-// the failure detector, and radio-observing sinks are rejected in
-// parallel mode.
-type ParallelismSpec struct {
-	// Shards in [1, 64]; 1 is the sequential engine.
-	Shards int `json:"shards"`
-	// Lookahead overrides the derived cross-shard latency (DIFS +
-	// worst-case propagation); omitted derives it.
-	Lookahead Duration `json:"lookahead,omitempty"`
+	// Parallelism is the removed sharded engine's block. It stays only
+	// so that Scenario rejects a spec naming it with the reason, where
+	// ParseSpec would otherwise report an unknown field.
+	Parallelism json.RawMessage `json:"parallelism,omitempty"`
 }
 
 // WorkloadSpec generates the paper's workload: PerClass queries in each
@@ -302,6 +287,9 @@ func LoadSpec(path string) (*Spec, error) {
 // Scenario compiles the spec onto the paper's default setup, validating
 // protocol and topology names against their registries.
 func (s *Spec) Scenario() (Scenario, error) {
+	if s.Parallelism != nil {
+		return Scenario{}, fmt.Errorf("spec: the parallelism block was removed (%s)", shardsRemoved)
+	}
 	p := Protocol(s.Protocol)
 	if _, ok := protocol.Lookup(p); !ok {
 		return Scenario{}, fmt.Errorf("spec: unknown protocol %q (registered: %v)", s.Protocol, protocol.All())
@@ -454,17 +442,6 @@ func (s *Spec) Scenario() (Scenario, error) {
 	sc.BatteryJ = s.BatteryJ
 	sc.SetupSlot = s.SetupSlot.D()
 	sc.TraceCapacity = s.TraceCapacity
-
-	if p := s.Parallelism; p != nil {
-		if p.Shards < 1 || p.Shards > 64 {
-			return Scenario{}, fmt.Errorf("spec: parallelism shards must be in [1,64], got %d", p.Shards)
-		}
-		if p.Lookahead < 0 {
-			return Scenario{}, fmt.Errorf("spec: parallelism lookahead must be non-negative, got %v", p.Lookahead.D())
-		}
-		sc.Shards = p.Shards
-		sc.Lookahead = p.Lookahead.D()
-	}
 
 	for _, f := range s.Dissemination {
 		sc.Dissemination = append(sc.Dissemination, core.DisseminationSpec{

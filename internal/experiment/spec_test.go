@@ -133,6 +133,13 @@ func TestSpecErrors(t *testing.T) {
 			t.Errorf("%s: ParseSpec accepted %s", c.name, c.json)
 		}
 	}
+	// The parallelism input is the removed sharded engine's block, as a
+	// client would still send it; its error text is pinned.
+	parallel, err := ParseSpec([]byte(`{"protocol":"DTS-SS","nodes":30,"area":300,"duration":"1s",` +
+		`"workload":{"base_rate":1,"per_class":1},"parallelism":{"shards":2}}`))
+	if err != nil {
+		t.Fatalf("a spec naming parallelism must still parse: %v", err)
+	}
 	compile := []struct {
 		name string
 		spec Spec
@@ -146,11 +153,16 @@ func TestSpecErrors(t *testing.T) {
 			MeasureFrom: durPtr(-5 * time.Second), Workload: &WorkloadSpec{BaseRate: 1, PerClass: 1}}},
 		{"bad workload", Spec{Protocol: "DTS-SS", Workload: &WorkloadSpec{BaseRate: -1, PerClass: 1}}},
 		{"bad query period", Spec{Protocol: "DTS-SS", Queries: []QueryJSON{{ID: 1}}}},
+		{"parallelism block", *parallel},
 	}
 	for _, c := range compile {
 		if _, err := c.spec.Scenario(); err == nil {
 			t.Errorf("%s: Scenario() accepted %+v", c.name, c.spec)
 		}
+	}
+	const want = "spec: the parallelism block was removed (the sequential engine is faster; see ARCHITECTURE.md)"
+	if _, err := parallel.Scenario(); err == nil || err.Error() != want {
+		t.Errorf("parallelism block: error %v, want %q", err, want)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // scenario can express must come back from Build as an error — never a
 // panic — so a malformed corpus spec can never take down a campaign
 // worker. One case per converted check (mac frame/timing, query report
-// size, and the baseline T-MAC/SYNC/PSM window rules).
+// size, and the baseline T-MAC/SYNC/PSM window rules), plus the removed
+// sharded engine's shard count.
 func TestBuildRejectsMalformedConfigs(t *testing.T) {
 	base := func(p Protocol) Scenario {
 		sc := DefaultScenario(p, 1)
@@ -90,6 +91,15 @@ func TestBuildRejectsMalformedConfigs(t *testing.T) {
 				return sc
 			}(),
 			want: "PSM",
+		},
+		{
+			name: "removed sharded engine",
+			sc: func() Scenario {
+				sc := base(DTSSS)
+				sc.Shards = 2
+				return sc
+			}(),
+			want: "Shards was removed with the sharded engine (the sequential engine is faster; see ARCHITECTURE.md)",
 		},
 	}
 	for _, tc := range cases {

@@ -237,13 +237,6 @@ type MAC struct {
 	idleSink IdleSink
 	obs      Observer
 	stats    Stats
-
-	// ackSlack, when installed, extends the ACK timeout for specific
-	// destinations. The parallel engine uses it for cross-shard peers:
-	// the mesh adds one lookahead of latency each way, so the ACK of a
-	// boundary-crossing frame arrives a round trip later than the DCF
-	// timeout expects.
-	ackSlack func(dst phy.NodeID) time.Duration
 }
 
 // Timer dispatchers shared by every station: the events carry the MAC as
@@ -332,30 +325,6 @@ func (m *MAC) releaseHeader(h *header) {
 	m.hdrFree = append(m.hdrFree, h)
 }
 
-// TransitClone deep-copies a MAC frame payload for cross-shard transit
-// under the parallel engine. Sender-side headers are pooled and recycled
-// the instant the sender's completion timer fires — before a delayed
-// remote delivery would read them — so the channel mesh must copy the
-// framing. inner clones the upper-layer payload (pooled report objects
-// need copying too); nil or a pass-through inner keeps it aliased, which
-// is only safe for value-type or immutable payloads. The clone is
-// unpooled: receivers never recycle headers they did not allocate, so it
-// is garbage after delivery.
-func TransitClone(payload any, inner func(any) any) any {
-	h, ok := payload.(*header)
-	if !ok {
-		if inner != nil {
-			return inner(payload)
-		}
-		return payload
-	}
-	c := &header{kind: h.kind, seq: h.seq, payload: h.payload}
-	if inner != nil && h.payload != nil {
-		c.payload = inner(h.payload)
-	}
-	return c
-}
-
 // ID returns the node ID this MAC serves.
 func (m *MAC) ID() phy.NodeID { return m.id }
 
@@ -369,12 +338,6 @@ func (m *MAC) SetUpper(u Upper) { m.upper = u }
 // SetAckInfoFunc installs the callback invoked when an acknowledgement
 // for one of this station's frames carried piggybacked information.
 func (m *MAC) SetAckInfoFunc(f func(from phy.NodeID, info any)) { m.onAckInfo = f }
-
-// SetAckSlack installs a per-destination ACK-timeout extension (nil
-// disables). The parallel engine's build path sets it on boundary
-// stations so cross-shard unicasts wait out the mesh round trip instead
-// of burning their retry budget.
-func (m *MAC) SetAckSlack(f func(dst phy.NodeID) time.Duration) { m.ackSlack = f }
 
 // AttachToAck piggybacks info on the acknowledgement this station is about
 // to send for the data frame it is currently delivering from src (valid
@@ -579,9 +542,6 @@ func (m *MAC) txDone(item *txItem) {
 	}
 	m.waitingAck = true
 	timeout := m.cfg.SIFS + m.ch.FrameDuration(m.cfg.AckBytes) + 3*m.cfg.SlotTime
-	if m.ackSlack != nil {
-		timeout += m.ackSlack(item.dst)
-	}
 	m.ackEv = m.eng.AfterArg(timeout, macAckTimeout, m)
 }
 

@@ -110,23 +110,6 @@ type Stats struct {
 	BytesSent uint64
 }
 
-// Add accumulates o into s, merging the per-lane statistics of a
-// parallel run. A cross-shard transmission counts Transmissions and
-// BytesSent once (on its source lane) and its receiver-side outcomes on
-// whichever lanes delivered it, so the merged totals balance exactly
-// like a sequential run's.
-func (s *Stats) Add(o Stats) {
-	s.Transmissions += o.Transmissions
-	s.Deliveries += o.Deliveries
-	s.Overheard += o.Overheard
-	s.Collisions += o.Collisions
-	s.RandomDrops += o.RandomDrops
-	s.LinkDrops += o.LinkDrops
-	s.FadeDrops += o.FadeDrops
-	s.MissedAsleep += o.MissedAsleep
-	s.BytesSent += o.BytesSent
-}
-
 // activeTx is one in-flight transmission. The struct embeds its Frame
 // and its owning channel so the completion event can carry the struct
 // itself (no per-transmission closure); the whole footprint is recycled
@@ -135,10 +118,6 @@ func (s *Stats) Add(o Stats) {
 type activeTx struct {
 	frame Frame
 	ch    *Channel
-	// remote marks a transmission replayed from another shard's lane:
-	// the source station lives elsewhere, so only the receiver-side
-	// bookkeeping applies here.
-	remote bool
 }
 
 // activeTxEnd is the completion dispatcher shared by every transmission.
@@ -197,15 +176,6 @@ type Channel struct {
 	// freeTx recycles activeTx structs (frame + completion callback);
 	// bounded by the peak number of concurrent transmissions.
 	freeTx []*activeTx
-	// mesh/lane connect this channel to its siblings under sharded
-	// parallel execution: the channel then carries only the stations of
-	// shard `lane`, and boundary transmissions are routed through the
-	// mesh. Both are nil/zero on sequential runs.
-	mesh *Mesh
-	lane int32
-	// freeRemote recycles the envelopes carrying inbound cross-shard
-	// transmissions from the mesh barrier to their start instant.
-	freeRemote []*remoteStart
 }
 
 // Config parameterizes the channel.
@@ -445,20 +415,15 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 		}
 	}
 
-	if c.mesh != nil {
-		c.mesh.route(c, tx, dur)
-	}
 	c.eng.AfterArg(dur, activeTxEnd, tx)
 	return dur, &tx.frame
 }
 
 func (c *Channel) endTx(tx *activeTx) {
 	src := tx.frame.Src
-	if !tx.remote {
-		st := &c.stations[src]
-		if st.radio.State() == radio.Tx {
-			st.radio.EndTx()
-		}
+	st := &c.stations[src]
+	if st.radio.State() == radio.Tx {
+		st.radio.EndTx()
 	}
 	for _, nb := range c.neighbors(src) {
 		rst := &c.stations[nb]
@@ -494,7 +459,6 @@ func (c *Channel) endTx(tx *activeTx) {
 		}
 	}
 	tx.frame.Payload = nil
-	tx.remote = false
 	c.freeTx = append(c.freeTx, tx)
 }
 

@@ -58,11 +58,6 @@ type Config struct {
 	// 400 (0 = unlimited). A resource guard, like Budget, but decided
 	// before any work happens.
 	MaxNodes int
-	// MaxShards rejects specs whose parallelism block asks for more
-	// engine shards than this (0 = unlimited). Each shard is one
-	// goroutine per run, multiplying the worker pool's effective
-	// CPU footprint — a server sizes this against Workers.
-	MaxShards int
 	// BaseSeed seeds the per-request sequence assigned to specs that
 	// omit a seed; default 1.
 	BaseSeed int64
@@ -387,14 +382,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{
 			Kind:  "too_large",
 			Error: fmt.Sprintf("spec requests %d nodes; this server caps deployments at %d", spec.Nodes, s.cfg.MaxNodes),
-		})
-		return
-	}
-	if s.cfg.MaxShards > 0 && spec.Parallelism != nil && spec.Parallelism.Shards > s.cfg.MaxShards {
-		s.badSpec.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Kind:  "too_large",
-			Error: fmt.Sprintf("spec requests %d engine shards; this server caps parallelism at %d", spec.Parallelism.Shards, s.cfg.MaxShards),
 		})
 		return
 	}

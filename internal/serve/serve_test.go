@@ -165,36 +165,42 @@ func TestBadSpecs(t *testing.T) {
 	}
 }
 
-// TestParallelSpecs: a parallelism block runs through the server like
-// any other spec knob, and MaxShards rejects oversized requests before
-// any work happens.
+// TestParallelSpecs: the sharded engine is gone, so a spec that still
+// carries a parallelism block is a bad spec — whatever the block holds,
+// including the shard counts the server used to run or cap — and is
+// rejected with the removal error before any work happens.
 func TestParallelSpecs(t *testing.T) {
-	s := New(Config{Workers: 1, MaxShards: 4, Audit: true})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sharded := `{"protocol":"DTS-SS","nodes":30,"area":300,"duration":"1s",` +
-		`"workload":{"base_rate":1,"per_class":1},"parallelism":{"shards":2}}`
-	resp, body := postRun(t, ts, "/run", sharded)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded run status = %d, body %s", resp.StatusCode, body)
+	const want = "spec: the parallelism block was removed (the sequential engine is faster; see ARCHITECTURE.md)"
+	blocks := []struct{ name, block string }{
+		{"shards=1", `{"shards":1}`},
+		{"shards=2", `{"shards":2}`},
+		{"shards=8", `{"shards":8}`},
+		{"empty", `{}`},
 	}
-	var rr RunResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatalf("bad response JSON: %v", err)
+	for _, b := range blocks {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			spec := `{"protocol":"DTS-SS","nodes":30,"area":300,"duration":"1s",` +
+				`"workload":{"base_rate":1,"per_class":1},"parallelism":` + b.block + `}`
+			resp, body := postRun(t, ts, "/run", spec)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil || er.Kind != "bad_spec" {
+				t.Errorf("kind = %q (err %v), want bad_spec", er.Kind, err)
+			}
+			if er.Error != want {
+				t.Errorf("error = %q, want %q", er.Error, want)
+			}
+		})
 	}
-	if rr.Events == 0 || rr.Audit == nil || rr.Audit.Violations != 0 {
-		t.Errorf("implausible sharded result: %+v", rr)
-	}
-
-	over := strings.Replace(sharded, `"shards":2`, `"shards":8`, 1)
-	resp, body = postRun(t, ts, "/run", over)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("over-shard status = %d, want 400 (body %s)", resp.StatusCode, body)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Kind != "too_large" {
-		t.Errorf("over-shard error = %+v (err %v), want kind too_large", er, err)
+	if got := s.Stats().BadSpec; got != uint64(len(blocks)) {
+		t.Errorf("bad_spec counter = %d, want %d", got, len(blocks))
 	}
 }
 

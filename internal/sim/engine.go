@@ -123,10 +123,11 @@ func (ev *Event) RescheduleTo(at time.Duration) {
 	e.insert(ev)
 }
 
-// slotList is one wheel slot: an intrusive doubly-linked event list kept
-// sorted by (at, seq), so its head is the slot's earliest event. A level-0
-// slot holds a single tick, but a tick (2^tickShift ns) is coarser than
-// virtual time, so same-slot events may still differ in at.
+// slotList is one wheel slot: an intrusive doubly-linked event list. On
+// level 0 it is kept sorted by (at, seq), so its head is the slot's
+// earliest event: a level-0 slot holds a single tick, but a tick
+// (2^tickShift ns) is coarser than virtual time, so same-slot events may
+// still differ in at. Coarse-level slots are unordered (see insert).
 type slotList struct {
 	head, tail *Event
 }
@@ -336,11 +337,14 @@ func (e *Engine) insert(ev *Event) {
 	idx := int(t>>(level*slotBits)) & slotMask
 	ev.level, ev.slot, ev.where = uint8(level), uint8(idx), locWheel
 	s := &e.wheels[level][idx]
-	// Sorted insert, scanning from the tail: a newly scheduled event has
-	// the largest seq, so it lands at the tail unless an earlier-at event
-	// was inserted after later-at ones (possible across cascades).
+	// Only level-0 slots are kept sorted: nextWithin pops level-0 heads,
+	// while a coarse slot is only ever cascaded wholesale, re-inserting
+	// every event, so its order is never read. Coarse slots append at the
+	// tail in O(1). A level-0 insert scans from the tail: a newly
+	// scheduled event has the largest seq, so it lands at the tail unless
+	// an earlier-at event arrives after later-at ones (across cascades).
 	cur := s.tail
-	for cur != nil && evLess(ev, cur) {
+	for level == 0 && cur != nil && evLess(ev, cur) {
 		cur = cur.prev
 	}
 	if cur == nil {
@@ -580,56 +584,6 @@ func (e *Engine) RunChecked(until time.Duration, maxEvents uint64, check func() 
 		e.now = until
 	}
 	return e.processed - start, nil
-}
-
-// PeekNext returns the timestamp of the earliest pending event at or
-// before limit, without firing it. Like Run's deadline peek, the
-// internal cursor never advances past limit, so events may still be
-// scheduled at any instant > limit afterwards — but schedules at
-// instants <= limit may be misfiled once this returns, so callers must
-// only peek up to a bound they will never schedule below. The shard
-// runner peeks exactly to the window end: cross-shard arrivals land at
-// or after it, so the bounded peek can never be invalidated.
-func (e *Engine) PeekNext(limit time.Duration) (time.Duration, bool) {
-	ev := e.nextWithin(uint64(limit) >> tickShift)
-	if ev == nil || ev.at > limit {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// NextLowerBound returns a conservative lower bound on the earliest
-// pending event's instant. Unlike PeekNext it is read-only — the cursor
-// and the wheels are untouched, so schedules at any instant >= now stay
-// valid afterwards. The bound is the earliest occupied slot's span
-// start (exact to the tick when the earliest event lives on the finest
-// level, coarsening to its containing block otherwise); a bounded peek
-// that comes up empty cascades coarse slots and thereby refines the
-// next call's bound. Returns false when nothing is pending.
-func (e *Engine) NextLowerBound() (time.Duration, bool) {
-	if e.live == 0 {
-		return 0, false
-	}
-	best := ^uint64(0)
-	for level := 0; level < numLevels; level++ {
-		if idx := e.firstSlot(level); idx >= 0 {
-			shift := uint(level) * slotBits
-			span := (e.cursor>>(shift+slotBits))<<(shift+slotBits) | uint64(idx)<<shift
-			if span < best {
-				best = span
-			}
-		}
-	}
-	if len(e.overflow) > 0 {
-		if t := uint64(e.overflow[0].at) >> tickShift; t < best {
-			best = t
-		}
-	}
-	lb := time.Duration(best << tickShift)
-	if lb < e.now {
-		lb = e.now
-	}
-	return lb, true
 }
 
 // RunAll executes events until the queue is empty. It is intended for

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -768,128 +769,414 @@ func TestScheduleNearAfterDeadlinePeek(t *testing.T) {
 	}
 }
 
-// Differential test (folded in from the PR-3 review scratch file):
-// engine vs a naive sorted-list reference, mixing bounded Run calls,
-// between-run and in-callback schedules, cancels, and reschedules
-// across all wheel levels and the overflow heap.
-func TestDifferentialAgainstSortedModel(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		e := New(seed)
+// sortedModel is the reference scheduler the differential checks run the
+// engine against: a slice kept sorted by (at, seq) with binary-search
+// insertion. Canceled entries stay in place, flagged dead, and are
+// skipped when they reach the front.
+type sortedModel struct {
+	q   []*modelEvent
+	seq uint64
+}
 
-		type ref struct {
-			at       time.Duration
-			seq      uint64
-			id       int
-			canceled bool
+type modelEvent struct {
+	at   time.Duration
+	seq  uint64
+	id   int
+	dead bool
+}
+
+func (m *sortedModel) push(at time.Duration, id int) *modelEvent {
+	r := &modelEvent{at: at, seq: m.seq, id: id}
+	m.seq++
+	i := sort.Search(len(m.q), func(i int) bool {
+		q := m.q[i]
+		return q.at > r.at || (q.at == r.at && q.seq > r.seq)
+	})
+	m.q = append(m.q, nil)
+	copy(m.q[i+1:], m.q[i:])
+	m.q[i] = r
+	return r
+}
+
+// pop removes and returns the earliest live event at or before until.
+func (m *sortedModel) pop(until time.Duration) *modelEvent {
+	for len(m.q) > 0 {
+		r := m.q[0]
+		if r.dead {
+			m.q = m.q[1:]
+			continue
 		}
-		var model []*ref
-		handles := map[int]*Event{}
-		var fired, want []int
-		nextID := 0
-		var mseq uint64
-
-		schedule := func(at time.Duration) {
-			id := nextID
-			nextID++
-			r := &ref{at: at, seq: mseq, id: id}
-			mseq++
-			model = append(model, r)
-			handles[id] = e.Schedule(at, func() {
-				delete(handles, id)
-				fired = append(fired, id)
-			})
+		if r.at > until {
+			return nil
 		}
+		m.q = m.q[1:]
+		return r
+	}
+	return nil
+}
 
-		randomAt := func() time.Duration {
-			mag := time.Duration(1) << uint(rng.Intn(44)) // up to ~4.8h, past horizon
-			return e.Now() + time.Duration(rng.Int63n(int64(mag)))
+// engineDiff drives an Engine and a sortedModel through the same
+// Schedule / Cancel / RescheduleTo / Run sequence and compares the fire
+// order. Every event with a non-negative even id schedules a child from
+// its callback (child id ^id, delay childDelay(id)), so in-callback
+// schedules — including same-instant ones — are covered too.
+type engineDiff struct {
+	tb      testing.TB
+	e       *Engine
+	m       sortedModel
+	nextID  int
+	live    []int       // pending ids, for picking cancel/reschedule targets
+	pos     map[int]int // id -> index in live
+	handles map[int]*Event
+	refs    map[int]*modelEvent
+	fired   []int
+	want    []int
+}
+
+func newEngineDiff(tb testing.TB, seed int64) *engineDiff {
+	return &engineDiff{tb: tb, e: New(seed), pos: map[int]int{}, handles: map[int]*Event{}, refs: map[int]*modelEvent{}}
+}
+
+func childDelay(id int) time.Duration { return time.Duration(id%5) * 100 * time.Microsecond }
+
+func (d *engineDiff) untrack(id int) {
+	i := d.pos[id]
+	last := d.live[len(d.live)-1]
+	d.live[i], d.pos[last] = last, i
+	d.live = d.live[:len(d.live)-1]
+	delete(d.pos, id)
+	delete(d.handles, id)
+	delete(d.refs, id)
+}
+
+func (d *engineDiff) schedule(at time.Duration) {
+	id := d.nextID
+	d.nextID++
+	d.scheduleEngine(at, id)
+	d.refs[id] = d.m.push(at, id)
+}
+
+// scheduleEngine schedules id on the engine only; the model side of an
+// in-callback child is pushed when run replays its parent.
+func (d *engineDiff) scheduleEngine(at time.Duration, id int) {
+	d.handles[id] = d.e.Schedule(at, func() {
+		d.untrack(id)
+		d.fired = append(d.fired, id)
+		if id >= 0 && id%2 == 0 {
+			d.scheduleEngine(d.e.Now()+childDelay(id), ^id)
 		}
+	})
+	d.pos[id] = len(d.live)
+	d.live = append(d.live, id)
+}
 
-		// Run the model forward to `until`, appending fired ids to want.
-		runModel := func(until time.Duration) {
-			for {
-				live := model[:0:0]
-				for _, r := range model {
-					if !r.canceled {
-						live = append(live, r)
-					}
-				}
-				if len(live) == 0 {
-					return
-				}
-				sort.Slice(live, func(a, b int) bool {
-					if live[a].at != live[b].at {
-						return live[a].at < live[b].at
-					}
-					return live[a].seq < live[b].seq
-				})
-				r := live[0]
-				if r.at > until {
-					return
-				}
-				r.canceled = true // consumed
-				want = append(want, r.id)
+// cancel cancels the k-th pending event (k taken modulo the count).
+func (d *engineDiff) cancel(k int) {
+	if len(d.live) == 0 {
+		return
+	}
+	id := d.live[k%len(d.live)]
+	d.handles[id].Cancel()
+	d.refs[id].dead = true
+	d.untrack(id)
+}
+
+// reschedule moves the k-th pending event to at.
+func (d *engineDiff) reschedule(k int, at time.Duration) {
+	if len(d.live) == 0 {
+		return
+	}
+	id := d.live[k%len(d.live)]
+	d.handles[id].RescheduleTo(at)
+	d.refs[id].dead = true
+	d.refs[id] = d.m.push(at, id)
+}
+
+// run advances both schedulers to until and checks they fired the same
+// events in the same order and agree on what is still pending.
+func (d *engineDiff) run(until time.Duration, label string) {
+	d.tb.Helper()
+	d.e.Run(until)
+	for r := d.m.pop(until); r != nil; r = d.m.pop(until) {
+		d.want = append(d.want, r.id)
+		if r.id >= 0 && r.id%2 == 0 {
+			child := d.m.push(r.at+childDelay(r.id), ^r.id)
+			if _, pending := d.pos[^r.id]; pending {
+				d.refs[^r.id] = child
 			}
 		}
+	}
+	if len(d.fired) != len(d.want) {
+		d.tb.Fatalf("%s: engine fired %d events, model fired %d", label, len(d.fired), len(d.want))
+	}
+	for i := range d.want {
+		if d.fired[i] != d.want[i] {
+			d.tb.Fatalf("%s: fired[%d] = %d, model wants %d", label, i, d.fired[i], d.want[i])
+		}
+	}
+	if d.e.Pending() != len(d.live) {
+		d.tb.Fatalf("%s: Pending() = %d, want %d", label, d.e.Pending(), len(d.live))
+	}
+}
 
-		for round := 0; round < 30; round++ {
-			for op := 0; op < 10; op++ {
+// TestDifferentialAgainstSortedModel runs the engine against the sorted
+// reference model, mixing bounded Run calls, between-run and in-callback
+// schedules, cancels, and reschedules. Two inputs: "mixed" spreads
+// events over every wheel level and the overflow heap; "dense-coarse-slot"
+// piles thousands of events into one level-1 or level-2 slot (ties
+// included) and stops some runs mid-slot, so those events cascade down
+// to level 0 while others are canceled or moved into and out of the slot.
+func TestDifferentialAgainstSortedModel(t *testing.T) {
+	type op func(d *engineDiff, rng *rand.Rand, round int)
+	inputs := []struct {
+		name          string
+		seeds, rounds int
+		ops           int
+		step          op
+		until         func(d *engineDiff, rng *rand.Rand, round int) time.Duration
+	}{
+		{
+			name: "mixed", seeds: 40, rounds: 30, ops: 10,
+			step: func(d *engineDiff, rng *rand.Rand, _ int) {
+				randomAt := func() time.Duration {
+					mag := time.Duration(1) << uint(rng.Intn(44)) // up to ~4.8h, past horizon
+					return d.e.Now() + time.Duration(rng.Int63n(int64(mag)))
+				}
 				switch rng.Intn(4) {
 				case 0, 1:
-					schedule(randomAt())
-				case 2: // cancel a random live event
-					for id, ev := range handles {
-						ev.Cancel()
-						delete(handles, id)
-						for _, r := range model {
-							if r.id == id {
-								r.canceled = true
-							}
-						}
-						break
+					d.schedule(randomAt())
+				case 2:
+					d.cancel(rng.Int())
+				case 3:
+					d.reschedule(rng.Int(), randomAt())
+				}
+			},
+			until: func(d *engineDiff, rng *rand.Rand, _ int) time.Duration {
+				return d.e.Now() + time.Duration(rng.Int63n(int64(90*time.Minute)))
+			},
+		},
+		{
+			name: "dense-coarse-slot", seeds: 3, rounds: 8, ops: 4000,
+			step: func(d *engineDiff, rng *rand.Rand, round int) {
+				base, span := coarseSlot(d.e.Now(), round)
+				inSlot := func() time.Duration {
+					if rng.Intn(4) == 0 {
+						return base + time.Duration(rng.Intn(8))*span/8 // same-instant ties
 					}
-				case 3: // reschedule a random live event
-					for id, ev := range handles {
-						at := randomAt()
-						ev.RescheduleTo(at)
-						for _, r := range model {
-							if r.id == id {
-								r.at = at
-								r.seq = mseq
-								mseq++
-							}
-						}
-						break
+					return base + time.Duration(rng.Int63n(int64(span)))
+				}
+				switch r := rng.Intn(20); {
+				case r < 14:
+					d.schedule(inSlot())
+				case r < 17:
+					d.cancel(rng.Int())
+				case r < 19:
+					d.reschedule(rng.Int(), inSlot())
+				default: // move out of the slot, to any level
+					d.reschedule(rng.Int(), d.e.Now()+time.Duration(rng.Int63n(1<<uint(rng.Intn(34)))))
+				}
+			},
+			until: func(d *engineDiff, rng *rand.Rand, round int) time.Duration {
+				base, span := coarseSlot(d.e.Now(), round)
+				if round%3 == 0 {
+					return base + span/2 // stop mid-slot: cascade, then keep scheduling
+				}
+				return base + span + time.Duration(rng.Int63n(int64(span)))
+			},
+		},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			for seed := int64(0); seed < int64(in.seeds); seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				d := newEngineDiff(t, seed)
+				for round := 0; round < in.rounds; round++ {
+					// The target instant is fixed before the round's ops so
+					// that in-slot schedules and the stop agree on the slot.
+					until := in.until(d, rng, round)
+					for i := 0; i < in.ops; i++ {
+						in.step(d, rng, round)
 					}
+					d.run(until, fmt.Sprintf("seed %d round %d", seed, round))
+				}
+				d.run(1<<62, fmt.Sprintf("seed %d drain", seed))
+				if len(d.live) != 0 {
+					t.Fatalf("seed %d: %d events left after the drain", seed, len(d.live))
 				}
 			}
-			until := e.Now() + time.Duration(rng.Int63n(int64(90*time.Minute)))
-			e.Run(until)
-			runModel(until)
-			if len(fired) != len(want) {
-				t.Fatalf("seed %d round %d: fired %d events, model fired %d", seed, round, len(fired), len(want))
+		})
+	}
+}
+
+// TestCoarseSlotCascade fills one slot of each coarse level with events
+// scheduled latest-first, so the slot's unordered tail-append list is in
+// exactly reverse time order, with same-instant ties mixed in. Some are
+// canceled and some moved within the slot; a run stops mid-slot and more
+// events arrive in the slot's remaining span. The fire order must still
+// be (at, schedule order), which only the cascade into level 0 restores.
+func TestCoarseSlotCascade(t *testing.T) {
+	for level := 1; level < numLevels; level++ {
+		level := level
+		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
+			const n = 2000
+			span := time.Duration(1) << (tickShift + slotBits*level)
+			base := span // the slot covering [span, 2*span) is on this level at t=0
+			e := New(1)
+			rng := rand.New(rand.NewSource(int64(level)))
+
+			// key is an event's place in FIFO order among same-instant
+			// events: its schedule order, renewed by a move.
+			type rec struct {
+				at  time.Duration
+				key int
+			}
+			var got []rec
+			live := map[int]*Event{}
+			at, key := map[int]time.Duration{}, map[int]int{}
+			next := 0
+			add := func(when time.Duration) {
+				id := next
+				next++
+				at[id], key[id] = when, id
+				live[id] = e.Schedule(when, func() {
+					got = append(got, rec{e.Now(), key[id]})
+					delete(live, id)
+				})
+			}
+			for i := 0; i < n; i++ {
+				// Latest first; runs of four events share an instant.
+				add(base + span - 1 - time.Duration(i/4*4)*span/(2*n))
+			}
+			if lv := live[0].level; int(lv) != level {
+				t.Fatalf("slot events filed on level %d, want %d", lv, level)
+			}
+			for id := 0; id < n; id += 7 {
+				live[id].Cancel()
+				delete(live, id)
+			}
+			for id := 3; id < n; id += 11 {
+				if ev, ok := live[id]; ok {
+					at[id], key[id] = base+time.Duration(rng.Int63n(int64(span))), next
+					next++
+					ev.RescheduleTo(at[id])
+				}
+			}
+			mid := base + span/2
+			e.Run(mid)
+			for i := 0; i < n/4; i++ {
+				add(mid + 1 + time.Duration(rng.Int63n(int64(span/2-1))))
+			}
+			want := append([]rec(nil), got...) // fired before the stop
+			for id := range live {
+				want = append(want, rec{at[id], key[id]})
+			}
+			sort.Slice(want, func(i, j int) bool {
+				return want[i].at < want[j].at || (want[i].at == want[j].at && want[i].key < want[j].key)
+			})
+			e.RunAll()
+			if e.Pending() != 0 {
+				t.Fatalf("Pending() = %d after RunAll", e.Pending())
+			}
+			if len(got) != len(want) {
+				t.Fatalf("fired %d events, want %d", len(got), len(want))
 			}
 			for i := range want {
-				if fired[i] != want[i] {
-					t.Fatalf("seed %d round %d: fired[%d] = %d, want %d", seed, round, i, fired[i], want[i])
+				if got[i] != want[i] {
+					t.Fatalf("fired[%d] = %+v, want %+v", i, got[i], want[i])
 				}
 			}
-			if e.Pending() != len(handles) {
-				t.Fatalf("seed %d round %d: Pending() = %d, want %d", seed, round, e.Pending(), len(handles))
+		})
+	}
+}
+
+// coarseSlot returns the span of the next aligned level-1 (odd rounds)
+// or level-2 (even rounds) slot after now: 256 ticks (~262 µs) or 65536
+// ticks (~67 ms). Events there sit on a coarse level until a cascade.
+func coarseSlot(now time.Duration, round int) (base, span time.Duration) {
+	shift := tickShift + slotBits*(2-round%2)
+	span = time.Duration(1) << shift
+	return (now>>shift + 1) << shift, span
+}
+
+// FuzzEngineOps reads its input as a program of three-byte ops (opcode,
+// two operands) over Schedule, Cancel, RescheduleTo and Run, and checks
+// the engine's fire order against the sorted model. One opcode schedules
+// a burst of up to 512 events into a single coarse slot, so short inputs
+// reach the dense-slot shapes as well as every wheel level and the
+// overflow heap.
+func FuzzEngineOps(f *testing.F) {
+	f.Add([]byte{2, 31, 0, 5, 0, 200, 3, 1, 7, 4, 9, 40, 2, 15, 1, 5, 255, 255})
+	f.Add([]byte{1, 43, 255, 1, 20, 3, 0, 255, 255, 4, 30, 3, 5, 10, 10, 2, 7, 6, 5, 0, 30})
+	f.Add([]byte{2, 63, 1, 2, 63, 1, 5, 0, 32, 4, 3, 10, 3, 9, 9, 5, 255, 200})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		const maxOps, maxPending = 256, 4096
+		d := newEngineDiff(t, 1)
+		for i := 0; i+2 < len(prog) && i < 3*maxOps; i += 3 {
+			a, b := prog[i+1], prog[i+2]
+			full := len(d.live) >= maxPending
+			switch prog[i] % 6 {
+			case 0: // fine: within ~4 ms of now
+				if !full {
+					d.schedule(d.e.Now() + time.Duration(int(a)<<8|int(b))*64)
+				}
+			case 1: // any level, up to past the overflow horizon
+				if !full {
+					d.schedule(d.e.Now() + time.Duration(b)<<(a%44))
+				}
+			case 2: // burst into one coarse slot, with same-instant ties
+				base, span := coarseSlot(d.e.Now(), int(b))
+				x := uint64(a)<<8 | uint64(b) | 1
+				for j := 0; j < (int(a)%32+1)*16 && len(d.live) < maxPending; j++ {
+					x = x*6364136223846793005 + 1442695040888963407
+					d.schedule(base + time.Duration(x>>33)%span/time.Duration(1+int(b)%4))
+				}
+			case 3:
+				d.cancel(int(a)<<8 | int(b))
+			case 4:
+				d.reschedule(int(a), d.e.Now()+time.Duration(b)<<(a%40))
+			case 5:
+				d.run(d.e.Now()+time.Duration(int(a)<<8|int(b))<<(b%24), fmt.Sprintf("op %d", i/3))
 			}
 		}
-		// Drain everything.
-		e.RunAll()
-		runModel(1 << 62)
-		if len(fired) != len(want) {
-			t.Fatalf("seed %d drain: fired %d events, model fired %d", seed, len(fired), len(want))
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("seed %d drain: fired[%d] = %d, want %d", seed, i, fired[i], want[i])
+		d.run(1<<62, "drain")
+	})
+}
+
+// BenchmarkDenseCoarseSlot fills level-2 slots (65536 ticks, ~67 ms
+// each) with n events apiece at random instants, then drains them
+// through the cascades. Every batch holds the same 64k events — 64k/n
+// slots of n — so the working set is fixed and only the slot population
+// varies. One op is one event scheduled and fired: ns/op must stay flat
+// from 1k to 64k events per slot, where an insert that scanned a coarse
+// slot's list would grow linearly with n.
+func BenchmarkDenseCoarseSlot(b *testing.B) {
+	const total = 1 << 16
+	const span = time.Duration(1) << (tickShift + 2*slotBits)
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
+		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ats := make([]time.Duration, total)
+			for i := range ats {
+				// Slots 1..total/n of level 2, interleaved; time order
+				// within each slot is random.
+				ats[i] = time.Duration(i%(total/n)+1)*span + time.Duration(rng.Int63n(int64(span)))
 			}
-		}
+			e := New(1)
+			fn := func() {}
+			batch := func(k int) {
+				e.Reset(1)
+				for _, at := range ats[:k] {
+					e.Schedule(at, fn)
+				}
+				e.RunAll()
+			}
+			batch(total) // warm the event freelist
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += total {
+				batch(min(total, b.N-done))
+			}
+		})
 	}
 }
 
