@@ -2,7 +2,7 @@
 // evaluation (§5). Each BenchmarkFigN runs a scaled-down version of the
 // corresponding experiment (shorter runs, fewer seeds than the paper's
 // 200 s × 5 seeds) and logs the resulting series; run cmd/essat-bench
-// with -paper for the full-fidelity tables recorded in EXPERIMENTS.md.
+// with -paper for the full-fidelity tables.
 //
 //	go test -bench=. -benchmem
 package essat_test
@@ -162,8 +162,7 @@ func BenchmarkSingleRun(b *testing.B) {
 // BenchmarkLargeRun measures the 1000-node scale tier (testdata/
 // large.json, shortened): the spatial-hash topology build plus the
 // timer-wheel event loop at 12.5× the paper's node count. The same
-// scenario backs `essat-bench -scale`, which records it in the
-// BENCH_*.json `scale` section.
+// scenario backs CI's audited scale-tier smoke.
 func BenchmarkLargeRun(b *testing.B) {
 	spec, err := essat.LoadSpec("testdata/large.json")
 	if err != nil {
@@ -190,9 +189,9 @@ func BenchmarkLargeRun(b *testing.B) {
 // huge.json, shortened) on a reused arena — the repeated-spec sweep the
 // per-run memory arenas target: after the first iteration warms the
 // slabs and the deployment cache, later iterations reset rather than
-// reallocate, so allocs/op reports the steady-state floor. The same
-// scenario backs `essat-bench -huge`, which records it in the
-// BENCH_*.json `huge` section.
+// reallocate, so allocs/op reports the steady-state floor. The
+// perfbench huge-10k workload measures the same spec end to end, cold
+// (see BENCHMARKS.md).
 func BenchmarkHugeRun(b *testing.B) {
 	spec, err := essat.LoadSpec("testdata/huge.json")
 	if err != nil {

@@ -1,8 +1,8 @@
 // Command essat-load drives an essat-serve instance with concurrent
 // spec requests and reports throughput and latency percentiles — the
 // harness for validating the server's graceful-degradation behavior
-// under real load, and for recording serve-layer numbers alongside the
-// engine benchmarks in the BENCH_*.json reports.
+// under real load. Serve-layer performance numbers come from the
+// perfbench module's serve-open workload (see BENCHMARKS.md).
 //
 // Workers pull requests from a shared channel; 429 (shed) and 5xx
 // responses retry with jittered exponential backoff, so the measured
@@ -10,20 +10,17 @@
 // fraction of requests can be deliberately malformed or over-budget to
 // exercise the server's error taxonomy mid-burst.
 //
-// Examples:
-//
 // With -corpus the driver replays a generated workload corpus (see
 // essat-campaign gen) instead of repeating one spec: every corpus spec
 // is posted exactly once and the report carries per-status counts, so
-// a BENCH serve block records how the server handled the full
-// protocol × topology × propagation × radio cross-product.
+// it shows how the server handled the full protocol × topology ×
+// propagation × radio cross-product.
 //
 // Examples:
 //
 //	essat-load -url http://localhost:8080 -n 200 -c 16
 //	essat-load -n 200 -c 16 -malformed 2 -overbudget 2 -check -expect-shed
-//	essat-load -n 500 -c 32 -benchjson BENCH_after.json
-//	essat-load -corpus corpus/ -c 8 -check -benchjson BENCH_after.json
+//	essat-load -corpus corpus/ -c 8 -check
 package main
 
 import (
@@ -35,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,7 +108,6 @@ func main() {
 		overbudget = flag.Int("overbudget", 0, "of the N requests, send this many with max_events=1000 (expect 422)")
 		retries    = flag.Int("retries", 14, "max retries per request on 429/503/network errors")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-request client timeout")
-		benchjson  = flag.String("benchjson", "", "merge the results as a \"serve\" block into this BENCH_*.json file")
 		check      = flag.Bool("check", false, "exit non-zero unless every request eventually got its expected status")
 		expectShed = flag.Bool("expect-shed", false, "with -check, also require at least one 429 (proves shedding engaged)")
 	)
@@ -209,22 +204,10 @@ func main() {
 	rep := buildReport(*url, *n, *c, wall, latencies, &ctr)
 	if corpusSpecs > 0 {
 		rep.CorpusSpecs = corpusSpecs
-		rep.StatusCounts = make(map[string]uint64, len(ctr.statuses))
-		ctr.statusMu.Lock()
-		for code, cnt := range ctr.statuses {
-			rep.StatusCounts[strconv.Itoa(code)] = cnt
-		}
-		ctr.statusMu.Unlock()
+		rep.StatusCounts = ctr.statuses // every worker has finished
 	}
 	fetchCacheStats(client, *url, &rep)
 	printReport(rep)
-
-	if *benchjson != "" {
-		if err := mergeBench(*benchjson, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("serve block merged into %s\n", *benchjson)
-	}
 
 	if *check {
 		want := uint64(*n)
@@ -304,31 +287,31 @@ func doRequest(client *http.Client, rng *rand.Rand, baseURL string, jb job, maxR
 	}
 }
 
-// report is the JSON "serve" block and the stdout summary.
+// report is the stdout summary of one load run.
 type report struct {
-	URL            string  `json:"url"`
-	Requests       int     `json:"requests"`
-	Concurrency    int     `json:"concurrency"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	LatencyP50Ms   float64 `json:"latency_p50_ms"`
-	LatencyP99Ms   float64 `json:"latency_p99_ms"`
-	OK             uint64  `json:"ok"`
-	BadSpec        uint64  `json:"bad_spec"`
-	Budget         uint64  `json:"budget"`
-	Shed           uint64  `json:"shed"`
-	Retries        uint64  `json:"retries"`
-	Errors         uint64  `json:"errors"`
+	URL            string
+	Requests       int
+	Concurrency    int
+	WallSeconds    float64
+	RequestsPerSec float64
+	LatencyP50Ms   float64
+	LatencyP99Ms   float64
+	OK             uint64
+	BadSpec        uint64
+	Budget         uint64
+	Shed           uint64
+	Retries        uint64
+	Errors         uint64
 	// CacheHits and CacheMisses are the server's deployment-cache
 	// counters after the burst (fetched from /readyz): hits are runs
 	// that skipped topology placement and tree construction.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
+	CacheHits   uint64
+	CacheMisses uint64
 	// CorpusSpecs and StatusCounts describe a corpus replay: how many
 	// specs the corpus held and the terminal HTTP status each landed on
-	// (keyed by status code). Absent for single-spec bursts.
-	CorpusSpecs  int               `json:"corpus_specs,omitempty"`
-	StatusCounts map[string]uint64 `json:"status_counts,omitempty"`
+	// (keyed by status code). Zero for single-spec bursts.
+	CorpusSpecs  int
+	StatusCounts map[int]uint64
 }
 
 // fetchCacheStats reads the server's deployment-cache counters off
@@ -389,37 +372,17 @@ func printReport(r report) {
 		r.OK, r.BadSpec, r.Budget, r.Shed, r.Retries, r.Errors)
 	fmt.Printf("deploy cache    %d hits, %d misses (server lifetime)\n", r.CacheHits, r.CacheMisses)
 	if r.CorpusSpecs > 0 {
-		codes := make([]string, 0, len(r.StatusCounts))
+		codes := make([]int, 0, len(r.StatusCounts))
 		for code := range r.StatusCounts {
 			codes = append(codes, code)
 		}
-		sort.Strings(codes)
+		sort.Ints(codes)
 		var parts []string
 		for _, code := range codes {
-			parts = append(parts, fmt.Sprintf("%s×%d", code, r.StatusCounts[code]))
+			parts = append(parts, fmt.Sprintf("%d×%d", code, r.StatusCounts[code]))
 		}
 		fmt.Printf("corpus          %d specs replayed: %s\n", r.CorpusSpecs, strings.Join(parts, ", "))
 	}
-}
-
-// mergeBench inserts the report as the "serve" key of an existing
-// BENCH_*.json file (creating the file if absent), preserving whatever
-// else the benchmark harness wrote there.
-func mergeBench(path string, r report) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["serve"] = r
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 func fatal(err error) {

@@ -41,11 +41,11 @@
 //
 // See ARCHITECTURE.md for the layer stack and how to register new
 // protocols or topology generators, examples/ for runnable programs,
-// and cmd/essat-bench for the full figure suite. The figure drivers
-// execute their (protocol, parameter, seed) grids on a bounded worker
-// pool with deterministic aggregation — output is byte-identical for
-// any worker count; see BENCHMARKS.md for the benchmark workflow and
-// the BENCH_*.json throughput format.
+// and cmd/essat-bench for the full figure suite (FigureCatalog lists
+// it). The figure drivers execute their (protocol, parameter, seed)
+// grids on a bounded worker pool with deterministic aggregation —
+// output is byte-identical for any worker count. Performance is
+// measured by the perfbench module; see BENCHMARKS.md.
 package essat
 
 import (
@@ -332,11 +332,12 @@ func RunWith(a *Arena, sc Scenario) (*Result, error) { return experiment.RunWith
 // RunSpecWith compiles and runs a declarative spec on a reusable arena.
 func RunSpecWith(a *Arena, s *Spec) (*Result, error) { return experiment.RunSpecWith(a, s) }
 
-// FigureInfo names one figure driver; see FigureCatalog.
+// FigureInfo names one figure driver and runs it; see FigureCatalog.
 type FigureInfo = experiment.FigureInfo
 
 // FigureCatalog lists every figure and study driver in presentation
-// order (the IDs accepted by essat-bench -fig).
+// order (the IDs accepted by essat-bench -fig); each entry's Run
+// regenerates it at the driver's default sweep.
 func FigureCatalog() []FigureInfo { return experiment.FigureCatalog() }
 
 // QueryClasses builds the paper's three-class workload with rate ratio
@@ -443,15 +444,3 @@ func Lifetime(o Options, batteryJ float64) (*Figure, error) {
 
 // PrintFigure renders a figure as an aligned text table.
 func PrintFigure(w io.Writer, f *Figure) { f.Fprint(w) }
-
-// ResetRunCounters zeroes the global simulator-work counters used by
-// benchmarking tools (see RunCounters).
-func ResetRunCounters() { experiment.ResetRunCounters() }
-
-// RunCounters returns the number of Run invocations, simulator events
-// executed, and simulated seconds elapsed since the last ResetRunCounters,
-// aggregated across all goroutines. cmd/essat-bench derives events/sec
-// and simulated-seconds/sec from these for the BENCH_*.json reports.
-func RunCounters() (runs, events uint64, simSeconds float64) {
-	return experiment.RunCounters()
-}

@@ -44,11 +44,6 @@ type Options struct {
 	// Audit runs every scenario under the cross-layer invariant auditor
 	// (pure observation: results are unchanged).
 	Audit bool
-	// DisableArena runs every scenario on a fresh engine, without the
-	// per-worker memory arenas and the shared deployment cache the grid
-	// otherwise reuses across runs. Results are byte-identical either
-	// way; benchmarks flip this to measure the arenas' effect.
-	DisableArena bool
 }
 
 // PaperOptions reproduces the paper's full experimental setting.
@@ -61,11 +56,6 @@ func PaperOptions() Options {
 func QuickOptions() Options {
 	return Options{Duration: 40 * time.Second, Seeds: 2, Nodes: 80}
 }
-
-// EffectiveParallelism returns the worker-pool bound the figure drivers
-// will use for these options: Parallelism, or GOMAXPROCS when unset.
-// Benchmarking tools record this rather than re-deriving the default.
-func (o Options) EffectiveParallelism() int { return o.normalized().Parallelism }
 
 func (o Options) normalized() Options {
 	if o.Duration <= 0 {
@@ -176,39 +166,23 @@ func runGrid(o Options, jobs []*runJob) error {
 	// worker assignment is dynamic and therefore nondeterministic under
 	// parallelism, which is safe precisely because every run's result is
 	// independent of its arena's history.
-	newArena := func() *Arena { return nil }
-	if !o.DisableArena {
-		cache := NewDeployCache(0)
-		newArena = func() *Arena { return NewArenaWithCache(cache) }
-	}
-	runOne := func(a *Arena, j *runJob) {
-		if j.res, j.err = RunWith(a, j.build()); j.err == nil {
-			j.err = auditErr(j.res)
-		}
-	}
-	if workers <= 1 {
-		a := newArena()
-		for _, j := range jobs {
-			runOne(a, j)
-			if j.err != nil {
-				return j.err
-			}
-		}
-		return nil
-	}
+	cache := NewDeployCache(0)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := newArena()
+			a := NewArenaWithCache(cache)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
 				}
-				runOne(a, jobs[i])
+				j := jobs[i]
+				if j.res, j.err = RunWith(a, j.build()); j.err == nil {
+					j.err = auditErr(j.res)
+				}
 			}
 		}()
 	}
@@ -284,32 +258,47 @@ func (o Options) scenario(p Protocol, seed int64) Scenario {
 	return sc
 }
 
-// FigureInfo describes one figure driver for listings (essat-sim -list,
-// essat-bench -fig).
+// FigureInfo describes one figure driver: its ID (essat-bench -fig,
+// essat-sim -list), its title, and the driver run at its default sweep.
+// Study marks the ablation and robustness studies, which essat-bench
+// runs only with -ablations.
 type FigureInfo struct {
 	ID    string
 	Title string
+	Study bool
+	Run   func(Options) (*Figure, error)
 }
 
 // FigureCatalog lists every figure and study driver this package can
 // regenerate, in presentation order.
 func FigureCatalog() []FigureInfo {
 	return []FigureInfo{
-		{"fig2", "Impact of query deadline on duty cycle and query latency of STS-SS"},
-		{"fig3", "Average duty cycle when varying base rate"},
-		{"fig4", "Average duty cycle when varying queries per class"},
-		{"fig5", "Distribution of duty cycles at different ranks"},
-		{"fig6", "Query latency when varying base rate"},
-		{"fig7", "Query latency when varying queries per class"},
-		{"fig8", "Histogram of sleep intervals (TBE=0)"},
-		{"fig9", "Impact of break-even time on DTS-SS duty cycle"},
-		{"overhead", "DTS phase-update overhead (§4.2.3)"},
-		{"ablation-guard", "Safe Sleep break-even guard vs naive sleep-any-gap"},
-		{"ablation-buffering", "Early-report buffering vs greedy early send"},
-		{"ablation-tree", "Setup-flood tree vs idealized BFS tree"},
-		{"robustness-loss", "Root coverage under transient packet loss (§4.3)"},
-		{"robustness-failures", "DTS-SS under mid-run node failures (§4.3)"},
-		{"lifetime", "Network lifetime with finite batteries (§4.2.1)"},
+		{"fig2", "Impact of query deadline on duty cycle and query latency of STS-SS", false,
+			func(o Options) (*Figure, error) { return Fig2Deadline(o, nil) }},
+		{"fig3", "Average duty cycle when varying base rate", false,
+			func(o Options) (*Figure, error) { return Fig3DutyVsRate(o, nil) }},
+		{"fig4", "Average duty cycle when varying queries per class", false,
+			func(o Options) (*Figure, error) { return Fig4DutyVsQueries(o, nil) }},
+		{"fig5", "Distribution of duty cycles at different ranks", false, Fig5DutyByRank},
+		{"fig6", "Query latency when varying base rate", false,
+			func(o Options) (*Figure, error) { return Fig6LatencyVsRate(o, nil) }},
+		{"fig7", "Query latency when varying queries per class", false,
+			func(o Options) (*Figure, error) { return Fig7LatencyVsQueries(o, nil) }},
+		{"fig8", "Histogram of sleep intervals (TBE=0)", false,
+			func(o Options) (*Figure, error) { f, _, err := Fig8SleepHistogram(o); return f, err }},
+		{"fig9", "Impact of break-even time on DTS-SS duty cycle", false,
+			func(o Options) (*Figure, error) { return Fig9BreakEven(o, nil) }},
+		{"overhead", "DTS phase-update overhead (§4.2.3)", false,
+			func(o Options) (*Figure, error) { return OverheadPhaseUpdates(o, nil) }},
+		{"ablation-guard", "Safe Sleep break-even guard vs naive sleep-any-gap", true, AblationBreakEvenGuard},
+		{"ablation-buffering", "Early-report buffering vs greedy early send", true, AblationBuffering},
+		{"ablation-tree", "Setup-flood tree vs idealized BFS tree", true, AblationTreeConstruction},
+		{"robustness-loss", "Root coverage under transient packet loss (§4.3)", true,
+			func(o Options) (*Figure, error) { return RobustnessLoss(o, nil) }},
+		{"robustness-failures", "DTS-SS under mid-run node failures (§4.3)", true,
+			func(o Options) (*Figure, error) { return RobustnessFailures(o, nil) }},
+		{"lifetime", "Network lifetime with finite batteries (§4.2.1)", true,
+			func(o Options) (*Figure, error) { return Lifetime(o, 0) }},
 	}
 }
 

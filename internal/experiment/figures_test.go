@@ -53,6 +53,26 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 }
 
+// TestFigureCatalogRuns runs every catalog entry's driver at a tiny
+// scale: the catalog is the one list essat-bench and essat-sim -list
+// read, so each entry must run and return the figure it names.
+func TestFigureCatalogRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every figure driver")
+	}
+	o := Options{Duration: 5 * time.Second, Seeds: 1, Nodes: 20}
+	for _, f := range FigureCatalog() {
+		fig, err := f.Run(o)
+		if err != nil {
+			t.Errorf("%s: %v", f.ID, err)
+			continue
+		}
+		if fig.ID != f.ID {
+			t.Errorf("catalog entry %s returned figure %s", f.ID, fig.ID)
+		}
+	}
+}
+
 func TestRunMatrixParallelAggregation(t *testing.T) {
 	o := Options{Duration: 6 * time.Second, Seeds: 3, Nodes: 25, Parallelism: 3}.normalized()
 	results, err := runMatrix(o, 1, func(i int, seed int64) Scenario {
@@ -99,6 +119,38 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	par := render(8)
 	if seq != par {
 		t.Fatalf("figure output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+	}
+}
+
+// TestRunGridFirstErrorInJobOrder checks runGrid's error contract at one
+// worker and at several: every job runs, even after an earlier one
+// failed, and the error returned is the failing job's that comes first
+// in job order, whichever worker finished first.
+func TestRunGridFirstErrorInJobOrder(t *testing.T) {
+	valid := func() Scenario {
+		sc := DefaultScenario(DTSSS, 1)
+		sc.Topology = topology.Config{NumNodes: 10, AreaSide: 200, Range: 125}
+		sc.Duration = 2 * time.Second
+		sc.MeasureFrom = time.Second
+		sc.Queries = QueryClasses(rand.New(rand.NewSource(1)), 1, 1, time.Second)
+		return sc
+	}
+	noQueries := func() Scenario { sc := valid(); sc.Queries = nil; return sc }
+	noDuration := func() Scenario { sc := valid(); sc.Duration = 0; return sc }
+	for _, workers := range []int{1, 4} {
+		jobs := []*runJob{{build: valid}, {build: noQueries}, {build: noDuration}, {build: valid}}
+		err := runGrid(Options{Parallelism: workers}, jobs)
+		if err == nil || !strings.Contains(err.Error(), "no queries") {
+			t.Errorf("workers=%d: err = %v, want job 1's no-queries error", workers, err)
+		}
+		if jobs[2].err == nil {
+			t.Errorf("workers=%d: job 2 did not run", workers)
+		}
+		for _, i := range []int{0, 3} {
+			if jobs[i].err != nil || jobs[i].res == nil {
+				t.Errorf("workers=%d: valid job %d: res %v, err %v", workers, i, jobs[i].res, jobs[i].err)
+			}
+		}
 	}
 }
 

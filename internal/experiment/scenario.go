@@ -848,7 +848,6 @@ func (s *Sim) Simulate() {
 // Simulate.
 func (s *Sim) Collect() *Result {
 	res := collect(s.Scenario, s.Eng, s.Tree, s.Channel, s.Nodes, s.sink, s.fan, s.profile, s.activeAt0, s.energyAt0)
-	countRun(s.Scenario, res.Events)
 	res.FirstDeath = s.firstDeath
 	res.BatteryDeaths = s.batteryDeaths
 	if s.tracer != nil {

@@ -1,14 +1,13 @@
 // Package trace provides a lightweight structured event log for
 // simulations: protocol implementations record typed events into a
-// bounded ring buffer that tools and tests can filter, count, and render.
+// bounded ring buffer that tools and tests read back in order.
 //
-// Tracing is designed to be cheap enough to leave wired in: a disabled
-// Tracer (the zero value or nil) drops events without allocation.
+// Tracing is designed to be cheap enough to leave wired in: a nil
+// Tracer drops events without allocation.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/essat/essat/internal/topology"
@@ -17,20 +16,10 @@ import (
 // Kind classifies trace events.
 type Kind uint8
 
-// Event kinds covering the stack: radio power transitions, MAC outcomes,
-// query progress, and ESSAT protocol actions.
+// Event kinds: radio power transitions and node failure handling.
 const (
 	RadioSleep Kind = iota + 1
 	RadioWake
-	MACSend
-	MACRetry
-	MACDrop
-	ReportGenerated
-	ReportAggregated
-	ReportDelivered
-	IntervalTimeout
-	PhaseShift
-	PhaseRequest
 	NodeFailed
 	Reparented
 	Recovered
@@ -43,24 +32,6 @@ func (k Kind) String() string {
 		return "radio-sleep"
 	case RadioWake:
 		return "radio-wake"
-	case MACSend:
-		return "mac-send"
-	case MACRetry:
-		return "mac-retry"
-	case MACDrop:
-		return "mac-drop"
-	case ReportGenerated:
-		return "report-generated"
-	case ReportAggregated:
-		return "report-aggregated"
-	case ReportDelivered:
-		return "report-delivered"
-	case IntervalTimeout:
-		return "interval-timeout"
-	case PhaseShift:
-		return "phase-shift"
-	case PhaseRequest:
-		return "phase-request"
 	case NodeFailed:
 		return "node-failed"
 	case Reparented:
@@ -77,8 +48,7 @@ type Event struct {
 	At   time.Duration
 	Node topology.NodeID
 	Kind Kind
-	// Detail is a small free-form annotation (e.g. the peer node or the
-	// shifted phase).
+	// Detail is a small free-form annotation (e.g. the peer node).
 	Detail string
 }
 
@@ -90,15 +60,15 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12v node=%-3d %-18s %s", e.At, e.Node, e.Kind, e.Detail)
 }
 
-// Tracer records events into a bounded ring buffer. The zero value is a
-// disabled tracer; use New to enable recording.
+// Tracer records events into a bounded ring buffer. A nil Tracer is
+// disabled; use New to enable recording.
 type Tracer struct {
-	enabled bool
-	buf     []Event
-	next    int
-	wrapped bool
-	total   uint64
-	clock   func() time.Duration
+	// buf grows on demand up to capacity, then wraps: memory follows
+	// the events actually recorded, not the requested capacity.
+	buf      []Event
+	capacity int
+	next     int // oldest retained event once buf is full
+	clock    func() time.Duration
 }
 
 // New returns a Tracer retaining the most recent capacity events,
@@ -110,88 +80,43 @@ func New(capacity int, clock func() time.Duration) *Tracer {
 	if clock == nil {
 		panic("trace: nil clock")
 	}
-	return &Tracer{enabled: true, buf: make([]Event, capacity), clock: clock}
+	return &Tracer{capacity: capacity, clock: clock}
 }
 
 // Enabled reports whether the tracer records events. A nil Tracer is
 // disabled.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
+func (t *Tracer) Enabled() bool { return t != nil }
 
-// Record appends an event. On a disabled tracer it is a no-op.
+// Record appends an event, evicting the oldest once capacity events
+// are retained. On a nil tracer it is a no-op.
 func (t *Tracer) Record(node topology.NodeID, kind Kind, detail string) {
-	if !t.Enabled() {
+	if t == nil {
 		return
 	}
-	t.buf[t.next] = Event{At: t.clock(), Node: node, Kind: kind, Detail: detail}
-	t.next++
-	t.total++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.wrapped = true
+	e := Event{At: t.clock(), Node: node, Kind: kind, Detail: detail}
+	if len(t.buf) < t.capacity {
+		t.buf = append(t.buf, e)
+		return
 	}
+	t.buf[t.next] = e
+	t.next = (t.next + 1) % len(t.buf)
 }
 
 // Recordf appends an event with a formatted detail string. The format
-// arguments are not evaluated on a disabled tracer.
+// arguments are not evaluated on a nil tracer.
 func (t *Tracer) Recordf(node topology.NodeID, kind Kind, format string, args ...any) {
-	if !t.Enabled() {
+	if t == nil {
 		return
 	}
 	t.Record(node, kind, fmt.Sprintf(format, args...))
 }
 
-// Total returns the number of events recorded, including evicted ones.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
-}
-
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
-	if !t.Enabled() {
+	if t == nil {
 		return nil
-	}
-	if !t.wrapped {
-		return append([]Event(nil), t.buf[:t.next]...)
 	}
 	out := make([]Event, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
-}
-
-// Filter returns the retained events matching kind (any node) or, with
-// node >= 0, only that node's.
-func (t *Tracer) Filter(kind Kind, node topology.NodeID) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Kind != kind {
-			continue
-		}
-		if node >= 0 && e.Node != node {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// Count returns how many retained events match kind.
-func (t *Tracer) Count(kind Kind) int {
-	n := 0
-	for _, e := range t.Events() {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// Dump writes the retained events to w, one per line.
-func (t *Tracer) Dump(w io.Writer) {
-	for _, e := range t.Events() {
-		fmt.Fprintln(w, e)
-	}
+	return append(out, t.buf[:t.next]...)
 }
