@@ -404,43 +404,5 @@ func OverheadPhaseUpdates(o Options, rates []float64) (*Figure, error) {
 	return experiment.OverheadPhaseUpdates(o, rates)
 }
 
-// AblationBreakEvenGuard compares the Safe Sleep break-even guard
-// against naive sleep-any-gap scheduling (see ARCHITECTURE.md, "Ablations").
-func AblationBreakEvenGuard(o Options) (*Figure, error) {
-	return experiment.AblationBreakEvenGuard(o)
-}
-
-// AblationBuffering compares early-report buffering against greedy early
-// sends (see ARCHITECTURE.md, "Ablations").
-func AblationBuffering(o Options) (*Figure, error) {
-	return experiment.AblationBuffering(o)
-}
-
-// AblationTreeConstruction compares the simulated setup-flood tree
-// against an idealized min-hop BFS tree (see ARCHITECTURE.md, "Ablations").
-func AblationTreeConstruction(o Options) (*Figure, error) {
-	return experiment.AblationTreeConstruction(o)
-}
-
-// RobustnessLoss sweeps transient packet loss against the §4.3
-// maintenance mechanisms. nil lossRates selects {0, 5, 10, 20}%.
-func RobustnessLoss(o Options, lossRates []float64) (*Figure, error) {
-	return experiment.RobustnessLoss(o, lossRates)
-}
-
-// RobustnessFailures kills growing numbers of random non-leaf nodes and
-// measures survivor coverage under the §4.3 recovery procedures. nil
-// failureCounts selects {0, 1, 2, 4}.
-func RobustnessFailures(o Options, failureCounts []int) (*Figure, error) {
-	return experiment.RobustnessFailures(o, failureCounts)
-}
-
-// Lifetime measures time-to-first-battery-death per protocol with finite
-// node batteries (§4.2.1's network-lifetime argument). batteryJ <= 0
-// selects a 0.5 J budget sized to the quick options.
-func Lifetime(o Options, batteryJ float64) (*Figure, error) {
-	return experiment.Lifetime(o, batteryJ)
-}
-
 // PrintFigure renders a figure as an aligned text table.
 func PrintFigure(w io.Writer, f *Figure) { f.Fprint(w) }

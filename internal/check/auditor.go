@@ -5,7 +5,7 @@
 //
 // The auditor hooks into four layers through their observer interfaces
 // (sim.Observer, phy.Observer, mac.Observer, core.SleepObserver), into
-// every radio via the existing Subscribe listener, and into the root's
+// every radio as a per-radio radio.StateListener, and into the root's
 // metric sink via WrapSink. All hooks run synchronously on the single
 // simulation goroutine, in event order, and touch nothing: no events
 // are scheduled, no random numbers drawn, no layer state mutated. A run
@@ -38,6 +38,7 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"github.com/essat/essat/internal/core"
@@ -103,12 +104,18 @@ type Auditor struct {
 	lastAt       time.Duration
 	lastSeq      uint64
 	everRegister map[query.ID]query.Spec
-	radios       []watchedRadio
 }
 
+// watchedRadio is the auditor's listener on one radio. It memoises the
+// radio's ledger in seconds, so a transition reconverts only the entries
+// that moved since the last one: the state just left.
 type watchedRadio struct {
+	a          *Auditor
 	id         query.NodeID
 	r          *radio.Radio
+	profile    radio.PowerProfile
+	ledger     radio.Ledger       // residency at the last transition
+	sec        radio.StateSeconds // ledger in seconds
 	lastEnergy float64
 }
 
@@ -149,16 +156,31 @@ func (a *Auditor) violateAt(at time.Duration, rule, format string, args ...any) 
 	}
 }
 
-// mix folds a tagged record of unsigned values into the digest.
+const fnvPrime = 1099511628211
+
+// fnvPrimePow[k] is fnvPrime to the k-th power, mod 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// mix folds a tagged record of unsigned values into the digest: the tag
+// byte, then each value's eight bytes, least significant first. FNV-1a
+// folds a zero byte as a bare multiply by the prime, so a value's high
+// zero bytes fold into the multiply of its last significant byte as one
+// multiply by a power of the prime.
 func (a *Auditor) mix(tag byte, vals ...uint64) {
-	const fnvPrime = 1099511628211
-	h := a.h
-	h = (h ^ uint64(tag)) * fnvPrime
+	h := (a.h ^ uint64(tag)) * fnvPrime
 	for _, v := range vals {
-		for i := 0; i < 8; i++ {
+		n := (bits.Len64(v|1) + 7) >> 3 // significant bytes, at least one
+		for i := 1; i < n; i++ {
 			h = (h ^ (v & 0xff)) * fnvPrime
 			v >>= 8
 		}
+		h = (h ^ v) * fnvPrimePow[9-n]
 	}
 	a.h = h
 }
@@ -248,34 +270,38 @@ func (a *Auditor) Slept(node query.NodeID, now, twakeup, breakEven time.Duration
 // transition is digested, time accounting re-validated, and cumulative
 // energy checked monotone. Call before the simulation starts.
 func (a *Auditor) WatchRadio(id query.NodeID, r *radio.Radio, profile radio.PowerProfile) {
-	a.radios = append(a.radios, watchedRadio{id: id, r: r})
-	idx := len(a.radios) - 1
-	r.Subscribe(func(old, new radio.State) {
-		a.radioChanged(idx, old, new, profile)
-	})
+	r.SubscribeState(&watchedRadio{a: a, id: id, r: r, profile: profile})
 }
 
-func (a *Auditor) radioChanged(idx int, old, new radio.State, profile radio.PowerProfile) {
-	w := &a.radios[idx]
+// RadioStateChanged implements radio.StateListener.
+func (w *watchedRadio) RadioStateChanged(old, new radio.State) {
+	a := w.a
 	now := a.clock()
 	a.mix(tagRadio, uint64(int64(w.id)), uint64(old), uint64(new), uint64(now))
 
 	// Time conservation: the per-state ledger must be non-negative and
 	// sum exactly to elapsed virtual time.
+	l := w.r.Ledger()
 	var sum time.Duration
 	for s := radio.Off; s <= radio.TurningOff; s++ {
-		d := w.r.TimeIn(s)
+		d := l[s]
 		if d < 0 {
 			a.violate("time-conserved", "node %d spent negative time %v in %v", w.id, d, s)
 		}
 		sum += d
+		if d != w.ledger[s] {
+			w.ledger[s] = d
+			w.sec[s] = d.Seconds()
+		}
 	}
 	if sum != now {
 		a.violate("time-conserved", "node %d state times sum to %v at %v", w.id, sum, now)
 	}
 
 	// Energy: consumption is a non-decreasing, non-negative integral.
-	e := w.r.Energy(profile)
+	// The memoised seconds are the ones Radio.Energy converts, so e is
+	// bit-identical to w.r.Energy(w.profile).
+	e := w.profile.Joules(&w.sec)
 	if e < w.lastEnergy || e < 0 {
 		a.violate("energy-monotone", "node %d energy fell from %g J to %g J", w.id, w.lastEnergy, e)
 	}

@@ -1,6 +1,11 @@
 package check
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -216,4 +221,155 @@ func TestViolationCapAndTotal(t *testing.T) {
 	if !strings.Contains(s.Violations[0].String(), "tx-awake") {
 		t.Fatalf("violation string %q missing rule", s.Violations[0])
 	}
+}
+
+// TestRadioRulesFire proves the two radio rules live: each case drives a
+// real radio whose observation is corrupted in one way and expects
+// exactly that rule to trip.
+func TestRadioRulesFire(t *testing.T) {
+	cases := []struct {
+		name    string
+		rule    string
+		ahead   time.Duration // auditor clock minus engine clock
+		profile radio.PowerProfile
+	}{
+		{
+			name:    "auditor clock runs ahead of the radio's engine",
+			rule:    "time-conserved",
+			ahead:   time.Millisecond,
+			profile: radio.Mica2Power(),
+		},
+		{
+			name:    "negative draw across an Off period",
+			rule:    "energy-monotone",
+			profile: radio.PowerProfile{Sleep: -1, Idle: 0.03, Rx: 0.03, Tx: 0.08, Transition: 0.03},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(1)
+			a := New(func() time.Duration { return eng.Now() + tc.ahead })
+			r := radio.New(eng, radio.Config{})
+			a.WatchRadio(5, r, tc.profile)
+			eng.Schedule(time.Millisecond, r.TurnOff)
+			eng.Schedule(11*time.Millisecond, r.TurnOn)
+			eng.Run(20 * time.Millisecond)
+			if a.Clean() {
+				t.Fatal("corrupted radio observation did not trip any invariant")
+			}
+			for _, v := range a.Violations() {
+				if v.Rule != tc.rule {
+					t.Fatalf("rule %q fired, want only %q: %v", v.Rule, tc.rule, a.Violations())
+				}
+			}
+		})
+	}
+}
+
+// TestAuditedEnergyMatchesRadio checks the auditor's memoised energy
+// against Radio.Energy after every transition of a radio cycling
+// through every state: the two must agree to the bit.
+func TestAuditedEnergyMatchesRadio(t *testing.T) {
+	a, eng := newTestAuditor()
+	r := radio.New(eng, radio.Config{TurnOnDelay: 2500 * time.Microsecond, TurnOffDelay: 500 * time.Microsecond})
+	p := radio.Mica2Power()
+	w := &watchedRadio{a: a, id: 5, r: r, profile: p}
+	r.SubscribeState(w)
+	checked := 0
+	r.Subscribe(func(old, new radio.State) {
+		if got, want := w.lastEnergy, r.Energy(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v→%v at %v: audited energy %v, Radio.Energy %v", old, new, eng.Now(), got, want)
+		}
+		checked++
+	})
+	for k := 0; k < 20; k++ {
+		base := time.Duration(k) * 37 * time.Millisecond
+		eng.Schedule(base+time.Millisecond, func() { r.BeginRx() })
+		eng.Schedule(base+3*time.Millisecond+333*time.Microsecond, r.EndRx)
+		eng.Schedule(base+5*time.Millisecond, r.BeginTx)
+		eng.Schedule(base+6*time.Millisecond+7*time.Nanosecond, r.EndTx)
+		eng.Schedule(base+9*time.Millisecond, r.TurnOff)
+		eng.Schedule(base+29*time.Millisecond+123*time.Nanosecond, r.TurnOn)
+	}
+	eng.Run(time.Second)
+	if !a.Clean() {
+		t.Fatalf("correct radio accounting flagged: %v", a.Violations())
+	}
+	if checked != 20*8 {
+		t.Fatalf("checked %d transitions, want %d", checked, 20*8)
+	}
+}
+
+// referenceDigest is FNV-1a 64 fed one byte at a time, by hash/fnv, over
+// the auditor's record encoding: a tag byte, then each value's eight
+// bytes, least significant first.
+type referenceDigest struct{ h hash.Hash64 }
+
+func newReferenceDigest() *referenceDigest { return &referenceDigest{h: fnv.New64a()} }
+
+func (r *referenceDigest) mix(tag byte, vals ...uint64) {
+	r.h.Write([]byte{tag})
+	for _, v := range vals {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		r.h.Write(b[:])
+	}
+}
+
+func (r *referenceDigest) digest() string { return fmt.Sprintf("%016x", r.h.Sum64()) }
+
+// digestBoundaryValues are the values whose byte length changes: 0, 1,
+// 255, 256, every 2^k and 2^k±1, and 2^64−1.
+func digestBoundaryValues() []uint64 {
+	vals := []uint64{0, 1, 255, 256, math.MaxUint64, math.MaxUint64 - 1}
+	for k := 1; k < 64; k++ {
+		p := uint64(1) << k
+		vals = append(vals, p-1, p, p+1)
+	}
+	return vals
+}
+
+// TestDigestMatchesReference checks mix, which folds each value's high
+// zero bytes as one multiply, against byte-at-a-time FNV-1a on boundary
+// values and on every record shape the auditor emits (zero to four
+// values), chained across records as a run chains them.
+func TestDigestMatchesReference(t *testing.T) {
+	vals := digestBoundaryValues()
+	a, _ := newTestAuditor()
+	ref := newReferenceDigest()
+	for i, v := range vals {
+		a.mix(tagEvent, v)
+		ref.mix(tagEvent, v)
+		if got, want := a.Digest(), ref.digest(); got != want {
+			t.Fatalf("after value %#x: digest %s, reference %s", v, got, want)
+		}
+		w := vals[(i*7+3)%len(vals)]
+		shapes := [][]uint64{nil, {w, v}, {v, 0, w}, {uint64(i), v, w, math.MaxUint64}}
+		for _, rec := range shapes {
+			tag := byte(len(rec) + 1)
+			a.mix(tag, rec...)
+			ref.mix(tag, rec...)
+			if got, want := a.Digest(), ref.digest(); got != want {
+				t.Fatalf("after record %d %#x: digest %s, reference %s", tag, rec, got, want)
+			}
+		}
+	}
+}
+
+// FuzzDigestMix checks mix against byte-at-a-time FNV-1a on arbitrary
+// records of up to four values.
+func FuzzDigestMix(f *testing.F) {
+	f.Add(byte(tagRadio), uint64(5), uint64(radio.Idle), uint64(radio.Rx), uint64(12345678), uint8(4))
+	f.Add(byte(tagEvent), uint64(0), uint64(math.MaxUint64), uint64(0), uint64(0), uint8(2))
+	f.Add(byte(0), uint64(256), uint64(1<<56), uint64(1<<56-1), uint64(255), uint8(3))
+	f.Fuzz(func(t *testing.T, tag byte, v0, v1, v2, v3 uint64, n uint8) {
+		rec := []uint64{v0, v1, v2, v3}[:n%5]
+		a, _ := newTestAuditor()
+		ref := newReferenceDigest()
+		a.mix(tag, rec...)
+		ref.mix(tag, rec...)
+		if got, want := a.Digest(), ref.digest(); got != want {
+			t.Fatalf("record %d %#x: digest %s, reference %s", tag, rec, got, want)
+		}
+	})
 }

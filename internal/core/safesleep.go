@@ -134,10 +134,15 @@ type SafeSleep struct {
 	opts  SafeSleepOptions
 
 	// nextSend and nextRecv are small linear tables (a handful of queries
-	// and children per node): CheckState scans them on every radio-idle
-	// transition, and linear scans beat map iteration at this size.
+	// and children per node); linear scans beat map iteration at this size.
 	nextSend []sendEntry
 	nextRecv []recvEntry
+	// minAt caches the minimum over both tables, so CheckState — run on
+	// every radio-idle transition — does not rescan them. A new or lowered
+	// entry lowers it in place; raising or removing an entry that holds it
+	// sets minStale, and earliest rescans only then.
+	minAt    time.Duration
+	minStale bool
 
 	wakeEv *sim.Event
 	wakeAt time.Duration
@@ -255,9 +260,11 @@ func (ss *SafeSleep) findRecv(k recvKey) int {
 // q, and re-evaluates the sleep schedule (updateNextSend in Fig. 1).
 func (ss *SafeSleep) UpdateNextSend(q query.ID, t time.Duration) {
 	if i := ss.findSend(q); i >= 0 {
+		ss.moved(ss.nextSend[i].t, t)
 		ss.nextSend[i].t = t
 	} else {
 		ss.nextSend = append(ss.nextSend, sendEntry{q: q, t: t})
+		ss.added(t)
 	}
 	ss.CheckState()
 }
@@ -267,9 +274,11 @@ func (ss *SafeSleep) UpdateNextSend(q query.ID, t time.Duration) {
 func (ss *SafeSleep) UpdateNextReceive(q query.ID, c query.NodeID, t time.Duration) {
 	k := recvKey{q, c}
 	if i := ss.findRecv(k); i >= 0 {
+		ss.moved(ss.nextRecv[i].t, t)
 		ss.nextRecv[i].t = t
 	} else {
 		ss.nextRecv = append(ss.nextRecv, recvEntry{key: k, t: t})
+		ss.added(t)
 	}
 	ss.CheckState()
 }
@@ -279,6 +288,7 @@ func (ss *SafeSleep) UpdateNextReceive(q query.ID, c query.NodeID, t time.Durati
 // by SS are removed".
 func (ss *SafeSleep) RemoveChild(q query.ID, c query.NodeID) {
 	if i := ss.findRecv(recvKey{q, c}); i >= 0 {
+		ss.removed(ss.nextRecv[i].t)
 		ss.nextRecv = append(ss.nextRecv[:i], ss.nextRecv[i+1:]...)
 	}
 	ss.CheckState()
@@ -288,12 +298,14 @@ func (ss *SafeSleep) RemoveChild(q query.ID, c query.NodeID) {
 func (ss *SafeSleep) RemoveQuery(q query.ID) {
 	for i := 0; i < len(ss.nextSend); i++ {
 		if ss.nextSend[i].q == q {
+			ss.removed(ss.nextSend[i].t)
 			ss.nextSend = append(ss.nextSend[:i], ss.nextSend[i+1:]...)
 			i--
 		}
 	}
 	for i := 0; i < len(ss.nextRecv); i++ {
 		if ss.nextRecv[i].key.q == q {
+			ss.removed(ss.nextRecv[i].t)
 			ss.nextRecv = append(ss.nextRecv[:i], ss.nextRecv[i+1:]...)
 			i--
 		}
@@ -322,9 +334,48 @@ func (ss *SafeSleep) hasRecv(q query.ID, c query.NodeID) bool {
 	return ss.findRecv(recvKey{q, c}) >= 0
 }
 
+// added folds a new entry at t into the cached minimum. The first entry
+// of empty tables sets it outright.
+func (ss *SafeSleep) added(t time.Duration) {
+	if t < ss.minAt || len(ss.nextSend)+len(ss.nextRecv) == 1 {
+		ss.minAt = t
+	}
+}
+
+// moved updates the cached minimum for an entry moving from old to t:
+// lowering folds in place, and raising the entry that holds the minimum
+// (or one tied with it) marks the cache stale.
+func (ss *SafeSleep) moved(old, t time.Duration) {
+	if t < ss.minAt {
+		ss.minAt = t
+	} else if t > old && old == ss.minAt {
+		ss.minStale = true
+	}
+}
+
+// removed marks the cached minimum stale if the entry at t held it.
+func (ss *SafeSleep) removed(t time.Duration) {
+	if t == ss.minAt {
+		ss.minStale = true
+	}
+}
+
 // earliest returns the minimum expected event time, and false if no
-// events are expected at all.
+// events are expected at all. It rescans the tables only when the cached
+// minimum is stale.
 func (ss *SafeSleep) earliest() (time.Duration, bool) {
+	if len(ss.nextSend)+len(ss.nextRecv) == 0 {
+		return 0, false
+	}
+	if ss.minStale {
+		ss.minAt, _ = ss.scanEarliest()
+		ss.minStale = false
+	}
+	return ss.minAt, true
+}
+
+// scanEarliest is the linear scan the cached minimum stands in for.
+func (ss *SafeSleep) scanEarliest() (time.Duration, bool) {
 	var min time.Duration
 	found := false
 	for i := range ss.nextSend {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -257,5 +258,49 @@ func TestSleepAccountingMatchesSchedule(t *testing.T) {
 	duty := r.DutyCycle()
 	if duty > 0.01 {
 		t.Fatalf("duty cycle = %.3f, want ~0 with instantaneous events", duty)
+	}
+}
+
+// TestEarliestCacheMatchesScan checks Safe Sleep's cached minimum against
+// a linear scan of its tables after every update and removal. Times come
+// from a six-value set so ties at the minimum are common, and the random
+// programs raise and remove the minimum entry many times.
+func TestEarliestCacheMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		_, _, ss := newSS(t, radio.Config{}, SafeSleepOptions{})
+		movedLater := 0
+		for step := 0; step < 400; step++ {
+			before, hadBefore := ss.scanEarliest()
+			q := query.ID(1 + rng.Intn(3))
+			c := query.NodeID(1 + rng.Intn(3))
+			at := time.Duration(rng.Intn(6)) * time.Millisecond
+			var op string
+			switch r := rng.Intn(10); {
+			case r < 4:
+				op = "UpdateNextSend"
+				ss.UpdateNextSend(q, at)
+			case r < 8:
+				op = "UpdateNextReceive"
+				ss.UpdateNextReceive(q, c, at)
+			case r < 9:
+				op = "RemoveChild"
+				ss.RemoveChild(q, c)
+			default:
+				op = "RemoveQuery"
+				ss.RemoveQuery(q)
+			}
+			want, wantOK := ss.scanEarliest()
+			if got, ok := ss.earliest(); got != want || ok != wantOK {
+				t.Fatalf("seed %d step %d: after %s(q%d, c%d, %v) earliest() = (%v, %v), scan = (%v, %v)",
+					seed, step, op, q, c, at, got, ok, want, wantOK)
+			}
+			if hadBefore && (!wantOK || want > before) {
+				movedLater++
+			}
+		}
+		if movedLater < 10 {
+			t.Fatalf("seed %d: the minimum moved later or vanished only %d times: programs too tame", seed, movedLater)
+		}
 	}
 }

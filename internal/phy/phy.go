@@ -167,6 +167,11 @@ type Channel struct {
 	// deliverable set, so the per-delivery verdict is skipped entirely.
 	prop     Propagation
 	discFast bool
+	// linkProb[src][j] is the model's delivery probability from station
+	// src to its j-th neighbor, evaluated once at Attach instead of per
+	// delivery. Nil under the disc model, which never consults it; kept
+	// out of station so the disc path's stations stay one cache line.
+	linkProb [][]float64
 	// linkLoss holds per-directed-link drop probabilities (dynamics
 	// layer); nil/empty costs nothing on the delivery path.
 	linkLoss map[linkKey]float64
@@ -230,6 +235,9 @@ func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel,
 		freeTx: sim.ArenaSlice[*activeTx](eng, "phy.freetx", 8)[:0],
 	}
 	c.neighbors = topo.Neighbors
+	if !c.discFast {
+		c.linkProb = sim.ArenaSlice[[]float64](eng, "phy.linkprob.rows", topo.NumNodes())
+	}
 	return c, nil
 }
 
@@ -245,6 +253,15 @@ func (c *Channel) Attach(id NodeID, r *radio.Radio, rx Receiver) {
 		panic(fmt.Sprintf("phy: node %d attached twice", id))
 	}
 	*st = station{id: id, radio: r, rx: rx, enabled: true}
+	if !c.discFast {
+		nbs := c.neighbors(id)
+		probs := sim.ArenaSlice[float64](c.eng, "phy.linkprob", len(nbs))
+		from := c.topo.Position(id)
+		for j, nb := range nbs {
+			probs[j] = c.prop.DeliveryProb(from.Dist(c.topo.Position(nb)), c.topo.Range())
+		}
+		c.linkProb[id] = probs
+	}
 	r.SubscribeState(st)
 }
 
@@ -425,7 +442,7 @@ func (c *Channel) endTx(tx *activeTx) {
 	if st.radio.State() == radio.Tx {
 		st.radio.EndTx()
 	}
-	for _, nb := range c.neighbors(src) {
+	for j, nb := range c.neighbors(src) {
 		rst := &c.stations[nb]
 		if !rst.enabled {
 			continue
@@ -439,7 +456,7 @@ func (c *Channel) endTx(tx *activeTx) {
 			// delivery, so a sleep scheduler re-evaluating on the Rx→Idle
 			// transition sees the pending work and keeps the radio on.
 			if !corrupted {
-				c.deliver(rst, &tx.frame)
+				c.deliver(rst, j, &tx.frame)
 			}
 			rst.radio.EndRx()
 		}
@@ -462,14 +479,14 @@ func (c *Channel) endTx(tx *activeTx) {
 	c.freeTx = append(c.freeTx, tx)
 }
 
-func (c *Channel) deliver(rst *station, f *Frame) {
+// deliver decodes f at rst, the j-th neighbor of its sender.
+func (c *Channel) deliver(rst *station, j int, f *Frame) {
 	// Propagation verdict first: link quality decides the decode before
 	// any injected loss. The disc default skips this entirely — its
 	// candidate graph equals the deliverable set — and models only draw
 	// rng inside their gray zone, so hard regions stay deterministic.
 	if !c.discFast {
-		d := c.topo.Position(f.Src).Dist(c.topo.Position(rst.id))
-		switch p := c.prop.DeliveryProb(d, c.topo.Range()); {
+		switch p := c.linkProb[f.Src][j]; {
 		case p >= 1:
 		case p <= 0 || c.eng.Rand().Float64() >= p:
 			c.stats.FadeDrops++

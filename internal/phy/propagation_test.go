@@ -2,9 +2,11 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/essat/essat/internal/geom"
+	"github.com/essat/essat/internal/radio"
 	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
 )
@@ -156,5 +158,96 @@ func TestNewChannelConfigErrors(t *testing.T) {
 	}
 	if err := ch.SetLinkLoss(0, 1, 0.5); err != nil {
 		t.Errorf("valid link loss errored: %v", err)
+	}
+}
+
+// linkTableNet attaches every station of a 40-node random deployment to
+// a channel running model, on eng, with candidate neighbors out to the
+// model's MaxRange.
+func linkTableNet(t *testing.T, eng *sim.Engine, model string) *Channel {
+	t.Helper()
+	prop, err := NewPropagation(model, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := topology.New(rand.New(rand.NewSource(7)), topology.Config{
+		NumNodes: 40, AreaSide: 300, Range: 125, NeighborRange: prop.MaxRange(125),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Propagation = prop
+	ch, err := NewChannel(eng, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < topo.NumNodes(); i++ {
+		ch.Attach(NodeID(i), radio.New(eng, radio.Config{}), &mockRx{})
+	}
+	return ch
+}
+
+// TestLinkProbTableMatchesModel checks the per-link delivery table the
+// channel builds at Attach: every entry is exactly the model's verdict
+// for that (station, neighbor) link, so deliveries draw against the same
+// floats as evaluating the model per frame. The disc model builds none.
+func TestLinkProbTableMatchesModel(t *testing.T) {
+	for _, model := range []string{Shadowing, DualDisc, Disc} {
+		t.Run(model, func(t *testing.T) {
+			ch := linkTableNet(t, sim.New(1), model)
+			if model == Disc {
+				if ch.linkProb != nil {
+					t.Fatal("disc channel built a link table")
+				}
+				return
+			}
+			links, gray := 0, 0
+			for id := range ch.stations {
+				nbs := ch.Neighbors(NodeID(id))
+				probs := ch.linkProb[id]
+				if len(probs) != len(nbs) {
+					t.Fatalf("station %d: %d link entries for %d neighbors", id, len(probs), len(nbs))
+				}
+				for j, nb := range nbs {
+					d := ch.topo.Position(NodeID(id)).Dist(ch.topo.Position(nb))
+					want := ch.prop.DeliveryProb(d, ch.topo.Range())
+					if got := probs[j]; got != want {
+						t.Fatalf("link %d→%d: table %v, model %v", id, nb, got, want)
+					}
+					links++
+					if want > 0 && want < 1 {
+						gray++
+					}
+				}
+			}
+			if gray == 0 {
+				t.Fatalf("%d links, none in the gray zone: the table was not exercised", links)
+			}
+		})
+	}
+}
+
+// TestLinkProbTableReusesArena checks the link table comes from the
+// engine's arena: a rebuild after Reset reuses the first run's backing
+// arrays and allocates no more than the disc model, which has no table.
+func TestLinkProbTableReusesArena(t *testing.T) {
+	eng := sim.New(1)
+	eng.SetArena(sim.NewArena())
+	first := linkTableNet(t, eng, Shadowing).linkProb[0]
+	eng.Reset(1)
+	again := linkTableNet(t, eng, Shadowing).linkProb[0]
+	if &first[0] != &again[0] {
+		t.Fatal("link table after Reset did not reuse the arena's backing array")
+	}
+	rebuild := func(model string) float64 {
+		linkTableNet(t, eng, model) // warm the arena for this shape
+		return testing.AllocsPerRun(10, func() {
+			eng.Reset(1)
+			linkTableNet(t, eng, model)
+		})
+	}
+	if disc, shadow := rebuild(Disc), rebuild(Shadowing); shadow > disc {
+		t.Fatalf("rebuild allocates %.0f objects under shadowing, %.0f under disc: the table is not arena-backed", shadow, disc)
 	}
 }

@@ -31,15 +31,28 @@ func Mica2Power() PowerProfile {
 	}
 }
 
+// StateSeconds is a Ledger converted to seconds, indexed by State.
+type StateSeconds [numStates]float64
+
+// Joules returns the energy of the given per-state residency under p.
+// Radio.Energy and the invariant auditor's incremental energy check both
+// evaluate it, so their results agree to the bit.
+func (p PowerProfile) Joules(sec *StateSeconds) float64 {
+	return sec[Off]*p.Sleep +
+		sec[Idle]*p.Idle +
+		sec[Rx]*p.Rx +
+		sec[Tx]*p.Tx +
+		(sec[TurningOn]+sec[TurningOff])*p.Transition
+}
+
 // Energy returns the joules consumed so far under profile p, from the
 // radio's per-state residency times.
 func (r *Radio) Energy(p PowerProfile) float64 {
-	sec := func(d time.Duration) float64 { return d.Seconds() }
-	return sec(r.TimeIn(Off))*p.Sleep +
-		sec(r.TimeIn(Idle))*p.Idle +
-		sec(r.TimeIn(Rx))*p.Rx +
-		sec(r.TimeIn(Tx))*p.Tx +
-		(sec(r.TimeIn(TurningOn))+sec(r.TimeIn(TurningOff)))*p.Transition
+	var sec StateSeconds
+	for s, d := range r.Ledger() {
+		sec[s] = d.Seconds()
+	}
+	return p.Joules(&sec)
 }
 
 // AveragePower returns the mean draw in watts since time zero, or the

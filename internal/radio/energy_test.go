@@ -78,3 +78,47 @@ func TestAveragePowerAtTimeZero(t *testing.T) {
 		t.Fatalf("AveragePower at t=0 = %v, want idle draw", got)
 	}
 }
+
+// TestEnergyFromLedgerMatchesTimeIn checks Energy, now evaluated from one
+// Ledger read through PowerProfile.Joules, against the per-state TimeIn
+// sum it replaced, to the bit, at every transition of a radio with
+// odd-nanosecond residencies in every state.
+func TestEnergyFromLedgerMatchesTimeIn(t *testing.T) {
+	eng := sim.New(1)
+	r := New(eng, Config{TurnOnDelay: 2500*time.Microsecond + 3, TurnOffDelay: 500*time.Microsecond + 1})
+	p := Mica2Power()
+	timeInSum := func() float64 {
+		sec := func(d time.Duration) float64 { return d.Seconds() }
+		return sec(r.TimeIn(Off))*p.Sleep +
+			sec(r.TimeIn(Idle))*p.Idle +
+			sec(r.TimeIn(Rx))*p.Rx +
+			sec(r.TimeIn(Tx))*p.Tx +
+			(sec(r.TimeIn(TurningOn))+sec(r.TimeIn(TurningOff)))*p.Transition
+	}
+	checked := 0
+	r.Subscribe(func(old, new State) {
+		if got, want := r.Energy(p), timeInSum(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v→%v at %v: Energy %v, TimeIn sum %v", old, new, eng.Now(), got, want)
+		}
+		l := r.Ledger()
+		for s := Off; s <= TurningOff; s++ {
+			if l[s] != r.TimeIn(s) {
+				t.Fatalf("Ledger()[%v] = %v, TimeIn = %v", s, l[s], r.TimeIn(s))
+			}
+		}
+		checked++
+	})
+	for k := 0; k < 10; k++ {
+		base := time.Duration(k)*time.Second + time.Duration(k*k)*time.Nanosecond
+		eng.Schedule(base+7*time.Millisecond+11, func() { r.BeginRx() })
+		eng.Schedule(base+9*time.Millisecond+13, r.EndRx)
+		eng.Schedule(base+20*time.Millisecond+17, r.BeginTx)
+		eng.Schedule(base+21*time.Millisecond+19, r.EndTx)
+		eng.Schedule(base+40*time.Millisecond+23, r.TurnOff)
+		eng.Schedule(base+700*time.Millisecond+29, r.TurnOn)
+	}
+	eng.Run(10 * time.Second)
+	if checked != 10*8 {
+		t.Fatalf("checked %d transitions, want 80", checked)
+	}
+}

@@ -341,6 +341,18 @@ func (r *Radio) TimeIn(s State) time.Duration {
 	return d
 }
 
+// Ledger is a radio's cumulative residency per power state, indexed by
+// State (index 0 is unused and stays zero).
+type Ledger [numStates]time.Duration
+
+// Ledger returns the cumulative time spent in every state up to now: one
+// read of the whole table where TimeIn reads one state.
+func (r *Radio) Ledger() Ledger {
+	l := Ledger(r.timeIn)
+	l[r.state] += r.eng.Now() - r.lastChange
+	return l
+}
+
 // ActiveTime returns the cumulative time the radio was not Off.
 func (r *Radio) ActiveTime() time.Duration {
 	return r.eng.Now() - r.TimeIn(Off)

@@ -30,16 +30,16 @@ func init() {
 type timeseriesSink struct {
 	bucket   time.Duration
 	duration time.Duration
-	nodes    map[int]*nodeTimeline
+	nodes    []nodeTimeline // indexed by node ID, grown on demand
 	series   []Series
 }
 
 // nodeTimeline is one node's awake-time integration state. Radios start
-// Idle at time zero, so a node is awake until its first observed
-// transition says otherwise.
+// Idle at time zero, so the zero value is a node awake since time zero,
+// until its first observed transition says otherwise.
 type nodeTimeline struct {
 	lastAt  time.Duration
-	awake   bool
+	asleep  bool
 	buckets []time.Duration // awake time accumulated per bucket
 }
 
@@ -54,7 +54,7 @@ func newTimeseriesSink(cfg SinkConfig) (Sink, error) {
 		}
 		bucket = time.Duration(v * float64(time.Millisecond))
 	}
-	return &timeseriesSink{bucket: bucket, duration: cfg.Duration, nodes: make(map[int]*nodeTimeline)}, nil
+	return &timeseriesSink{bucket: bucket, duration: cfg.Duration}, nil
 }
 
 func (t *timeseriesSink) Name() string { return SinkTimeseries }
@@ -66,16 +66,14 @@ func (t *timeseriesSink) IntervalClosed(q query.ID, k int, latency time.Duration
 func (t *timeseriesSink) RadioChanged(node int, from, to radio.State, at time.Duration) {
 	tl := t.timeline(node)
 	tl.advance(t.bucket, at)
-	tl.awake = to != radio.Off
+	tl.asleep = to == radio.Off
 }
 
 func (t *timeseriesSink) timeline(node int) *nodeTimeline {
-	tl, ok := t.nodes[node]
-	if !ok {
-		tl = &nodeTimeline{awake: true}
-		t.nodes[node] = tl
+	for len(t.nodes) <= node {
+		t.nodes = append(t.nodes, nodeTimeline{})
 	}
-	return tl
+	return &t.nodes[node]
 }
 
 // advance integrates awake time from the last observation up to now,
@@ -85,7 +83,7 @@ func (tl *nodeTimeline) advance(bucket, now time.Duration) {
 	if now < tl.lastAt {
 		now = tl.lastAt
 	}
-	if tl.awake {
+	if !tl.asleep {
 		for at := tl.lastAt; at < now; {
 			i := int(at / bucket)
 			end := time.Duration(i+1) * bucket
