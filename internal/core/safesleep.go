@@ -135,8 +135,12 @@ type SafeSleep struct {
 
 	// nextSend and nextRecv are small linear tables (a handful of queries
 	// and children per node); linear scans beat map iteration at this size.
+	// Reserve sizes them from the build's counts.
 	nextSend []sendEntry
 	nextRecv []recvEntry
+	// queries is the query count given to Reserve; the shapers built on
+	// this scheduler size their per-query tables from it.
+	queries int
 	// minAt caches the minimum over both tables, so CheckState — run on
 	// every radio-idle transition — does not rescan them. A new or lowered
 	// entry lowers it in place; raising or removing an entry that holds it
@@ -177,17 +181,7 @@ func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeS
 		opts.MACBusy = macNeverBusy
 	}
 	ss := sim.ArenaGrab[SafeSleep](eng, "core.safesleep")
-	*ss = SafeSleep{
-		eng:   eng,
-		radio: r,
-		opts:  opts,
-		// Seed the expectation tables with arena-backed capacity. Nodes
-		// track a handful of queries and children; appends that outgrow
-		// these fall back to the heap, trading a rare allocation for
-		// exact reuse in the common shape.
-		nextSend: sim.ArenaSlice[sendEntry](eng, "core.ss.send", 4)[:0],
-		nextRecv: sim.ArenaSlice[recvEntry](eng, "core.ss.recv", 16)[:0],
-	}
+	*ss = SafeSleep{eng: eng, radio: r, opts: opts}
 	// Re-evaluate whenever the radio settles into Idle: after a wake-up
 	// (expectations may have vanished while asleep), after a transmission,
 	// and — critically — after overhearing a neighbor's frame addressed to
@@ -195,6 +189,22 @@ func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeS
 	// next scheduled event.
 	r.SubscribeState(ss)
 	return ss
+}
+
+// Reserve gives the expectation tables arena-backed room for the rows a
+// static tree needs: one send row per query and one receive row per
+// (query, child) pair. The build calls it before any query is added and
+// before the shaper is built, so such a run never grows a table; rows
+// beyond it (re-parented children, queries added mid-run) grow on the
+// heap.
+func (ss *SafeSleep) Reserve(queries, children int) {
+	ss.queries = queries
+	if queries > 0 {
+		ss.nextSend = sim.ArenaSlice[sendEntry](ss.eng, "core.ss.send", queries)[:0]
+	}
+	if rows := queries * children; rows > 0 {
+		ss.nextRecv = sim.ArenaSlice[recvEntry](ss.eng, "core.ss.recv", rows)[:0]
+	}
 }
 
 // RadioStateChanged implements radio.StateListener: Safe Sleep

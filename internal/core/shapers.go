@@ -67,7 +67,7 @@ var _ query.Shaper = (*NTS)(nil)
 func NewNTS(env Env, ss *SafeSleep) *NTS {
 	n := sim.ArenaGrab[NTS](ss.eng, "core.nts")
 	*n = NTS{env: env, ss: ss,
-		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.nts.specs", 2)[:0]}
+		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.nts.specs", ss.queries)[:0]}
 	return n
 }
 
@@ -190,7 +190,7 @@ func NewSTS(env Env, ss *SafeSleep, deadline time.Duration) *STS {
 		ss:           ss,
 		Deadline:     deadline,
 		TimeoutSlack: 10 * time.Millisecond,
-		specs:        sim.ArenaSlice[query.Spec](ss.eng, "core.sts.specs", 2)[:0],
+		specs:        sim.ArenaSlice[query.Spec](ss.eng, "core.sts.specs", ss.queries)[:0],
 	}
 	return s
 }
@@ -327,7 +327,6 @@ type dtsChild struct {
 }
 
 type dtsQueryState struct {
-	id   query.ID
 	spec query.Spec
 	// snext is s(k) for the next report to send.
 	snext time.Duration
@@ -367,6 +366,9 @@ type DTS struct {
 	// receivers and fall back to MAC retries.
 	NoBuffering bool
 
+	// ids[i] is q[i].spec.ID: lookups scan this inline slice and dereference
+	// only the matching state.
+	ids   []query.ID
 	q     []*dtsQueryState
 	stats ShaperStats
 }
@@ -380,16 +382,17 @@ func NewDTS(env Env, ss *SafeSleep) *DTS {
 		env:          env,
 		ss:           ss,
 		TimeoutSlack: 50 * time.Millisecond,
-		q:            sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", 2)[:0],
+		ids:          sim.ArenaSlice[query.ID](ss.eng, "core.dts.ids", ss.queries)[:0],
+		q:            sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.queries)[:0],
 	}
 	return d
 }
 
 // state returns the per-query state for q, or nil if unknown.
 func (d *DTS) state(q query.ID) *dtsQueryState {
-	for _, st := range d.q {
-		if st.id == q {
-			return st
+	for i, id := range d.ids {
+		if id == q {
+			return d.q[i]
 		}
 	}
 	return nil
@@ -404,12 +407,12 @@ func (d *DTS) Stats() ShaperStats { return d.stats }
 // QueryAdded implements query.Shaper: s(0) = r(0) = φ.
 func (d *DTS) QueryAdded(spec query.Spec, children []query.NodeID) {
 	st := sim.ArenaGrab[dtsQueryState](d.ss.eng, "core.dts.state")
-	*st = dtsQueryState{
-		id:       spec.ID,
-		spec:     spec,
-		snext:    spec.IntervalStart(0),
-		children: sim.ArenaSlice[dtsChild](d.ss.eng, "core.dts.children", 8)[:0],
+	*st = dtsQueryState{spec: spec, snext: spec.IntervalStart(0)}
+	if len(children) > 0 {
+		// One row per current child: a static tree never grows the table.
+		st.children = sim.ArenaSlice[dtsChild](d.ss.eng, "core.dts.children", len(children))[:0]
 	}
+	d.ids = append(d.ids, spec.ID)
 	d.q = append(d.q, st)
 	if !d.env.IsRoot() {
 		d.ss.UpdateNextSend(spec.ID, st.snext)
@@ -534,8 +537,9 @@ func (d *DTS) CollectDeadline(q query.ID, k int) time.Duration {
 
 // QueryRemoved implements query.Shaper.
 func (d *DTS) QueryRemoved(q query.ID) {
-	for i, st := range d.q {
-		if st.id == q {
+	for i, id := range d.ids {
+		if id == q {
+			d.ids = append(d.ids[:i], d.ids[i+1:]...)
 			d.q = append(d.q[:i], d.q[i+1:]...)
 			break
 		}

@@ -627,6 +627,7 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 			Sink:     s,
 			QueryCfg: qCfg,
 			Params:   params,
+			Queries:  len(sc.Queries),
 		}); err != nil {
 			return nil, err
 		}

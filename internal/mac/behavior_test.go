@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/essat/essat/internal/geom"
 	"github.com/essat/essat/internal/phy"
+	"github.com/essat/essat/internal/radio"
+	"github.com/essat/essat/internal/sim"
+	"github.com/essat/essat/internal/topology"
 )
 
 // TestContentionWindowResetAfterSuccess: the CW doubles across retries
@@ -138,5 +142,56 @@ func TestDeadRadioSilencesStation(t *testing.T) {
 	}
 	if len(net.uppers[1].got) != 0 {
 		t.Fatal("dead station received")
+	}
+}
+
+// TestSleepAbandonedAckWaitIsNotARetry: an ACK wait cut short because the
+// sender's radio starts turning off is abandoned without consuming an
+// attempt, and Stats.Retries does not move; only an ACK timeout retries.
+// A frame to a receiver that never wakes therefore still fails after
+// exactly RetryLimit retries, with one extra transmission on the air.
+func TestSleepAbandonedAckWaitIsNotARetry(t *testing.T) {
+	eng := sim.New(3)
+	topo, err := topology.FromPositions(geom.LinePlacement(2, 100), 125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+	// The sender's radio takes time to turn off, so the wait is abandoned
+	// on the Idle→TurningOff edge; the receiver sleeps throughout.
+	sender := radio.New(eng, radio.Mica2Config())
+	receiver := radio.New(eng, radio.Config{})
+	m := New(eng, ch, 0, sender, DefaultConfig(), &mockUpper{})
+	New(eng, ch, 1, receiver, DefaultConfig(), &mockUpper{})
+	receiver.TurnOff()
+
+	failed := false
+	m.Send(1, "x", 52, func(ok bool) { failed = !ok })
+	for !m.waitingAck {
+		if !eng.Step() {
+			t.Fatal("sender never waited for its ACK")
+		}
+	}
+	sender.TurnOff()
+	if sender.State() != radio.TurningOff {
+		t.Fatalf("sender radio is %v, want turning-off", sender.State())
+	}
+	if m.waitingAck || m.ackEv != nil {
+		t.Fatal("going to sleep should abandon the ACK wait")
+	}
+	if st := m.Stats(); st.Retries != 0 || m.queue[0].attempts != 0 {
+		t.Fatalf("abandoned wait counted: Retries=%d attempts=%d, want 0 and 0", st.Retries, m.queue[0].attempts)
+	}
+	eng.Schedule(eng.Now()+5*time.Millisecond, sender.TurnOn)
+	eng.Run(eng.Now() + 2*time.Second)
+	st := m.Stats()
+	if !failed || st.Failed != 1 {
+		t.Fatalf("frame should fail once: failed=%v Failed=%d", failed, st.Failed)
+	}
+	if want := uint64(DefaultConfig().RetryLimit); st.Retries != want {
+		t.Fatalf("Retries = %d, want %d (ACK timeouts only)", st.Retries, want)
+	}
+	if tx, want := ch.Stats().Transmissions, uint64(DefaultConfig().RetryLimit)+2; tx != want {
+		t.Fatalf("transmissions = %d, want %d (RetryLimit+1 attempts plus the abandoned one)", tx, want)
 	}
 }

@@ -121,7 +121,10 @@ type Stats struct {
 	Sent uint64
 	// Failed counts frames dropped after exhausting retries.
 	Failed uint64
-	// Retries counts individual retransmission attempts.
+	// Retries counts retransmissions after an ACK timeout. An ACK wait
+	// abandoned because the radio went to sleep is not one: that frame
+	// is sent again on wake without consuming an attempt, and does not
+	// count here (only macAckTimeout → retry adds).
 	Retries uint64
 	// AcksSent counts acknowledgements transmitted.
 	AcksSent uint64
@@ -704,11 +707,10 @@ func (m *MAC) afterAck() {
 	}
 }
 
-// CarrierChanged implements phy.Receiver.
+// CarrierChanged implements phy.Receiver. The channel reports edges
+// only while the radio is powered; a MAC waking up polls CarrierBusy
+// when it contends.
 func (m *MAC) CarrierChanged(busy bool) {
-	if !m.radio.IsOn() {
-		return
-	}
 	if busy {
 		m.freeze()
 		return

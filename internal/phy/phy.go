@@ -13,6 +13,11 @@
 //   - Carrier sense reports whether any in-range transmission is ongoing;
 //     like a real radio, a node only senses while its radio is powered.
 //
+// Each station keeps a copy of its radio's state, written by the radio
+// itself (radio.MirrorState), so the per-neighbor loops of StartTx and
+// endTx decide skip, lock and collide from the station table alone and
+// call into a MAC only at powered stations.
+//
 // Propagation delay over ≤500 m is under 2 µs — three orders of magnitude
 // below the slot time — and is ignored, as in most WSN simulations.
 package phy
@@ -61,8 +66,10 @@ type Receiver interface {
 	// The receiver must check Frame.Dst itself.
 	FrameDelivered(f *Frame)
 	// CarrierChanged signals the rising (busy=true) and falling edge of
-	// channel energy audible at this node. It fires regardless of radio
-	// power state; the MAC must gate on its own radio.
+	// channel energy audible at this node. It fires only while the
+	// node's radio is powered (Idle, Rx or Tx): edges that happen while
+	// it is off or switching are not delivered, so a receiver that wakes
+	// up must poll Channel.CarrierBusy, as a contending MAC does.
 	CarrierChanged(busy bool)
 }
 
@@ -118,6 +125,7 @@ type Stats struct {
 type activeTx struct {
 	frame Frame
 	ch    *Channel
+	idx   int // position in ch.active, for O(1) removal
 }
 
 // activeTxEnd is the completion dispatcher shared by every transmission.
@@ -126,19 +134,28 @@ func activeTxEnd(x any) {
 	tx.ch.endTx(tx)
 }
 
+// station is one node's row in the channel's table, one cache line.
 type station struct {
-	id      NodeID
-	radio   *radio.Radio
-	rx      Receiver
-	enabled bool
+	rx    Receiver
+	radio *radio.Radio
+	// receiving is the frame this station locked onto. The lock holds
+	// only while state is Rx: leaving Rx (sleep, capture by an own
+	// transmission) drops the frame, and a new lock overwrites the field.
+	receiving *activeTx
+	id        NodeID
+	// state mirrors radio.State(); the radio writes it before running
+	// any listener (radio.MirrorState).
+	state    radio.State
+	carriers int32 // in-range ongoing transmissions
+	enabled  bool
 	// disabled marks a permanent Disable (node death): unlike a
 	// Suspend, it can never be Resumed.
-	disabled bool
-
-	carriers  int       // in-range ongoing transmissions
-	receiving *activeTx // frame this station is locked onto
-	corrupted bool      // receiving frame got hit by overlap
+	disabled  bool
+	corrupted bool // receiving frame got hit by overlap
 }
+
+// locked reports whether the station holds a valid lock on a frame.
+func (st *station) locked() bool { return st.receiving != nil && st.state == radio.Rx }
 
 // linkKey identifies one directed link for per-link loss injection.
 type linkKey struct {
@@ -244,9 +261,9 @@ func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel,
 // Propagation returns the channel's propagation model.
 func (c *Channel) Propagation() Propagation { return c.prop }
 
-// Attach registers node id with its radio and MAC receiver. The channel
-// subscribes to radio state changes so that a radio powering down
-// mid-reception drops the frame.
+// Attach registers node id with its radio and MAC receiver. The radio
+// mirrors its state into the station's row, so a radio powering down
+// mid-reception drops the frame without a listener call.
 func (c *Channel) Attach(id NodeID, r *radio.Radio, rx Receiver) {
 	st := &c.stations[id]
 	if st.rx != nil {
@@ -262,16 +279,7 @@ func (c *Channel) Attach(id NodeID, r *radio.Radio, rx Receiver) {
 		}
 		c.linkProb[id] = probs
 	}
-	r.SubscribeState(st)
-}
-
-// RadioStateChanged implements radio.StateListener: leaving a listening
-// state mid-frame loses the frame.
-func (st *station) RadioStateChanged(old, new radio.State) {
-	if st.receiving != nil && new != radio.Rx {
-		st.receiving = nil
-		st.corrupted = false
-	}
+	r.MirrorState(&st.state)
 }
 
 // Stats returns a copy of the channel counters.
@@ -325,10 +333,13 @@ func (c *Channel) FrameDuration(bytes int) time.Duration {
 // channel. A powered-down radio senses nothing.
 func (c *Channel) CarrierBusy(id NodeID) bool {
 	st := &c.stations[id]
-	if !st.radio.IsListening() && st.radio.State() != radio.Tx {
-		return false
+	switch st.state {
+	case radio.Tx:
+		return true
+	case radio.Idle, radio.Rx:
+		return st.carriers > 0
 	}
-	return st.carriers > 0 || st.radio.State() == radio.Tx
+	return false
 }
 
 // Disable removes node id from the channel permanently (node failure):
@@ -403,8 +414,9 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 	c.stats.Transmissions++
 	c.stats.BytesSent += uint64(bytes)
 	if c.obs != nil {
-		c.obs.TxStarted(&tx.frame, st.radio.State(), st.enabled)
+		c.obs.TxStarted(&tx.frame, st.state, st.enabled)
 	}
+	tx.idx = len(c.active)
 	c.active = append(c.active, tx)
 
 	st.radio.BeginTx()
@@ -414,16 +426,16 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 			continue
 		}
 		rst.carriers++
-		if rst.carriers == 1 {
+		if rst.carriers == 1 && rst.state.IsOn() {
 			rst.rx.CarrierChanged(true)
 		}
 		switch {
-		case rst.receiving != nil:
+		case rst.locked():
 			// Already locked onto another frame: that reception is now
 			// corrupted. The new frame is lost at this receiver too.
 			rst.corrupted = true
 			c.stats.Collisions++
-		case rst.radio.CanReceive():
+		case rst.state == radio.Idle:
 			rst.receiving = tx
 			rst.corrupted = false
 			rst.radio.BeginRx()
@@ -439,7 +451,7 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 func (c *Channel) endTx(tx *activeTx) {
 	src := tx.frame.Src
 	st := &c.stations[src]
-	if st.radio.State() == radio.Tx {
+	if st.state == radio.Tx {
 		st.radio.EndTx()
 	}
 	for j, nb := range c.neighbors(src) {
@@ -449,32 +461,29 @@ func (c *Channel) endTx(tx *activeTx) {
 		}
 		rst.carriers--
 		if rst.receiving == tx {
-			corrupted := rst.corrupted
+			valid, corrupted := rst.locked(), rst.corrupted
 			rst.receiving = nil
 			rst.corrupted = false
 			// Deliver before EndRx: the MAC records the ACK it owes during
 			// delivery, so a sleep scheduler re-evaluating on the Rx→Idle
 			// transition sees the pending work and keeps the radio on.
-			if !corrupted {
+			if valid && !corrupted {
 				c.deliver(rst, j, &tx.frame)
 			}
 			rst.radio.EndRx()
 		}
-		if rst.carriers == 0 {
+		if rst.carriers == 0 && rst.state.IsOn() {
 			rst.rx.CarrierChanged(false)
 		}
 	}
 	// Every station has detached from this transmission: recycle it. The
 	// payload reference is dropped so the pool does not pin MAC headers.
-	for i, a := range c.active {
-		if a == tx {
-			last := len(c.active) - 1
-			c.active[i] = c.active[last]
-			c.active[last] = nil
-			c.active = c.active[:last]
-			break
-		}
-	}
+	last := len(c.active) - 1
+	moved := c.active[last]
+	c.active[tx.idx] = moved
+	moved.idx = tx.idx
+	c.active[last] = nil
+	c.active = c.active[:last]
 	tx.frame.Payload = nil
 	c.freeTx = append(c.freeTx, tx)
 }

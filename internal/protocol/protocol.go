@@ -73,6 +73,9 @@ type BuildContext struct {
 	// QueryCfg tunes the node's query agent.
 	QueryCfg query.Config
 	Params   Params
+	// Queries is the number of queries every member registers at build
+	// time; builders size per-query tables from it.
+	Queries int
 }
 
 // Builder attaches one protocol's stack (shaper + sleep scheduler +
@@ -119,14 +122,24 @@ func Build(p Protocol, ctx *BuildContext) error {
 	return b.Build(ctx)
 }
 
+// installAgent installs the node's query agent over shaper, with room
+// for the build's queries.
+func installAgent(ctx *BuildContext, shaper query.Shaper) {
+	ctx.Node.InstallAgent(shaper, ctx.Sink, ctx.QueryCfg)
+	ctx.Node.Agent.Reserve(ctx.Queries)
+}
+
 // newSafeSleep builds the node's Safe Sleep scheduler with the
-// context's tBE parameter, honoring the global disable switch.
+// context's tBE parameter, honoring the global disable switch, and
+// sizes its tables from the node's children and the query count.
 func newSafeSleep(ctx *BuildContext, disabled bool) *core.SafeSleep {
 	n := ctx.Node
-	return core.NewSafeSleep(ctx.Eng, n.Radio, core.SafeSleepOptions{
+	ss := core.NewSafeSleep(ctx.Eng, n.Radio, core.SafeSleepOptions{
 		BreakEven: ctx.Params.SSBreakEven,
 		WakeAhead: -1,
 		MACBusy:   n.MAC,
 		Disabled:  disabled || ctx.Params.DisableSafeSleep,
 	})
+	ss.Reserve(ctx.Queries, len(ctx.Tree.Children(n.ID())))
+	return ss
 }

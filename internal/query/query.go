@@ -247,20 +247,22 @@ type Stats struct {
 
 // interval is one collection round. Intervals are pooled by the Agent:
 // the struct and its expected/got slices come from the per-run arena,
-// their capacity survives recycling, and the deadline timer dispatches
-// through a shared package-level func carrying the interval as its
-// event argument, so steady-state interval turnover is allocation-free.
+// sized to the node's children when first grabbed, their capacity
+// survives recycling, and the deadline timer dispatches through a
+// shared package-level func carrying the interval as its event
+// argument, so steady-state interval turnover is allocation-free.
 type interval struct {
 	k        int
 	value    float64
 	coverage int
 	expected []NodeID // children owed for this interval
 	got      []bool   // parallel to expected
-	extraGot []NodeID // reporters outside expected (mid-recovery edges)
+	extraGot []NodeID // reporters outside expected (mid-recovery edges); heap, rare
 	closed   bool
 	timeout  *sim.Event
 
-	rt *runtime // owning query runtime
+	rt       *runtime  // owning query runtime
+	nextFree *interval // the Agent's free list, while recycled
 }
 
 // intervalTimeout is the collection-deadline dispatcher shared by every
@@ -289,19 +291,24 @@ type missEntry struct {
 	n  int
 }
 
+// pruneLag is how far behind a closing round an open one is abandoned:
+// closing round k stops round k−pruneLag from collecting, and anything
+// arriving for it is forwarded as late.
+const pruneLag = 8
+
 type runtime struct {
 	a    *Agent // owning agent, for the shared event dispatchers
 	spec Spec
 	// intervals holds the open collection rounds in ascending k: ticks
 	// create intervals in increasing order and removals preserve order,
-	// so every walk with side effects (closing may submit reports,
-	// releasing feeds the pools) is deterministic. At most a handful are
-	// open (far-past rounds are pruned), so linear lookups win over a map.
+	// so every walk with side effects (closing may submit reports) is
+	// deterministic. A round leaves the table when it closes (or is
+	// pruned), so it holds at most openRounds entries and linear lookups
+	// win over a map.
 	intervals []*interval
 	// consecMiss is the per-child consecutive-miss table, a small linear
-	// slice for the same reason.
-	consecMiss  []missEntry
-	lastClosedK int
+	// slice for the same reason, sized to the node's children.
+	consecMiss []missEntry
 
 	// tickK is the interval the next tick starts: the self-rescheduling
 	// chain (exactly one tick is outstanding per query).
@@ -414,12 +421,17 @@ type Agent struct {
 	// queries holds the registered runtimes in ascending spec.ID, so
 	// every maintenance walk (which mutates shaper and sleep state, and
 	// may schedule events) iterates deterministically. Nodes carry a
-	// handful of queries; linear lookups win over a map.
+	// handful of queries; linear lookups win over a map. ids[i] is
+	// queries[i].spec.ID, so a lookup scans one inline slice and
+	// dereferences only the runtime it returns.
+	ids     []ID
 	queries []*runtime
 	stats   Stats
 
-	// Freelists and scratch space for the per-interval hot path.
-	ivFree      []*interval
+	// Freelists and scratch space for the per-interval hot path. ivFree
+	// heads the recycled intervals, linked through nextFree, so recycling
+	// one allocates nothing.
+	ivFree      *interval
 	trFree      []*txReport
 	missScratch []NodeID
 
@@ -429,9 +441,9 @@ type Agent struct {
 
 // runtimeFor returns the runtime registered for q, or nil.
 func (a *Agent) runtimeFor(q ID) *runtime {
-	for _, rt := range a.queries {
-		if rt.spec.ID == q {
-			return rt
+	for i, id := range a.ids {
+		if id == q {
+			return a.queries[i]
 		}
 	}
 	return nil
@@ -448,23 +460,26 @@ func (a *Agent) firstQuery() *runtime {
 }
 
 func (a *Agent) queryAfterID(prev ID) *runtime {
-	for _, rt := range a.queries {
-		if rt.spec.ID > prev {
-			return rt
+	for i, id := range a.ids {
+		if id > prev {
+			return a.queries[i]
 		}
 	}
 	return nil
 }
 
 // newInterval takes an interval from the pool (or grabs an arena slab
-// with arena-backed row capacity) and resets it for (rt, k).
+// with one arena-backed row per child) and resets it for (rt, k).
 func (a *Agent) newInterval(rt *runtime, k int) *interval {
-	iv := sim.TakeLast(&a.ivFree)
-	if iv == nil {
+	iv := a.ivFree
+	if iv != nil {
+		a.ivFree, iv.nextFree = iv.nextFree, nil
+	} else {
 		iv = sim.ArenaGrab[interval](a.eng, "query.interval")
-		iv.expected = sim.ArenaSlice[NodeID](a.eng, "query.iv.expected", 8)
-		iv.got = sim.ArenaSlice[bool](a.eng, "query.iv.got", 8)
-		iv.extraGot = sim.ArenaSlice[NodeID](a.eng, "query.iv.extra", 2)
+		if n := len(a.tree.Children(a.id)); n > 0 {
+			iv.expected = sim.ArenaSlice[NodeID](a.eng, "query.iv.expected", n)
+			iv.got = sim.ArenaSlice[bool](a.eng, "query.iv.got", n)
+		}
 	}
 	iv.k = k
 	iv.value = 0
@@ -478,10 +493,11 @@ func (a *Agent) newInterval(rt *runtime, k int) *interval {
 	return iv
 }
 
-// releaseInterval recycles a closed interval with no pending timeout.
+// releaseInterval recycles a closed interval with no pending timeout
+// that no table holds any more.
 func (a *Agent) releaseInterval(iv *interval) {
 	iv.rt = nil
-	a.ivFree = append(a.ivFree, iv)
+	iv.nextFree, a.ivFree = a.ivFree, iv
 }
 
 // newTxReport takes a report from the pool (or grabs an arena slab,
@@ -517,17 +533,24 @@ func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, hos
 	}
 	a := sim.ArenaGrab[Agent](eng, "query.agent")
 	*a = Agent{
-		eng:     eng,
-		id:      id,
-		tree:    tree,
-		shaper:  shaper,
-		host:    host,
-		sink:    sink,
-		cfg:     cfg,
-		agg:     agg,
-		queries: sim.ArenaSlice[*runtime](eng, "query.queries", 4)[:0],
+		eng:    eng,
+		id:     id,
+		tree:   tree,
+		shaper: shaper,
+		host:   host,
+		sink:   sink,
+		cfg:    cfg,
+		agg:    agg,
 	}
 	return a
+}
+
+// Reserve gives the query table arena-backed room for the queries the
+// build registers, so registering them never grows it. Call it before
+// the first Register.
+func (a *Agent) Reserve(queries int) {
+	a.ids = sim.ArenaSlice[ID](a.eng, "query.ids", queries)[:0]
+	a.queries = sim.ArenaSlice[*runtime](a.eng, "query.queries", queries)[:0]
 }
 
 // Stats returns a copy of the agent counters.
@@ -574,23 +597,38 @@ func (a *Agent) Register(spec Spec) error {
 	if a.runtimeFor(spec.ID) != nil {
 		return fmt.Errorf("query %d: already registered", spec.ID)
 	}
+	children := a.tree.Children(a.id)
 	rt := sim.ArenaGrab[runtime](a.eng, "query.runtime")
-	*rt = runtime{
-		a:           a,
-		spec:        spec,
-		intervals:   sim.ArenaSlice[*interval](a.eng, "query.rt.intervals", 8)[:0],
-		consecMiss:  sim.ArenaSlice[missEntry](a.eng, "query.rt.miss", 4)[:0],
-		lastClosedK: -1,
+	*rt = runtime{a: a, spec: spec}
+	if len(children) > 0 {
+		rt.consecMiss = sim.ArenaSlice[missEntry](a.eng, "query.rt.miss", len(children))[:0]
 	}
 	// Insert keeping ascending spec.ID order.
+	a.ids = append(a.ids, spec.ID)
 	a.queries = append(a.queries, rt)
-	for i := len(a.queries) - 1; i > 0 && a.queries[i-1].spec.ID > rt.spec.ID; i-- {
+	for i := len(a.ids) - 1; i > 0 && a.ids[i-1] > spec.ID; i-- {
+		a.ids[i-1], a.ids[i] = a.ids[i], a.ids[i-1]
 		a.queries[i-1], a.queries[i] = a.queries[i], a.queries[i-1]
 	}
-	a.shaper.QueryAdded(spec, a.tree.Children(a.id))
+	a.shaper.QueryAdded(spec, children)
+	rt.intervals = sim.ArenaSlice[*interval](a.eng, "query.rt.intervals", a.openRounds(spec))[:0]
 	rt.tickK = 0
 	a.eng.ScheduleArg(spec.Phase, queryTick, rt)
 	return nil
+}
+
+// openRounds returns how many of spec's collection rounds can be open
+// at once at this node. A leaf closes each round as it starts. Otherwise
+// a round stays open until its collection deadline, so the rounds
+// started within one deadline window overlap. A deadline that moves
+// later mid-run (a DTS phase shift, a re-parented node) grows the table
+// on the heap.
+func (a *Agent) openRounds(spec Spec) int {
+	if len(a.tree.Children(a.id)) == 0 {
+		return 1
+	}
+	wait := a.shaper.CollectDeadline(spec.ID, 0) - spec.IntervalStart(0)
+	return int(wait/spec.Period) + 1
 }
 
 func (a *Agent) startInterval(rt *runtime, k int) {
@@ -636,18 +674,13 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 		iv.timeout.Cancel()
 		iv.timeout = nil
 	}
-	if iv.k > rt.lastClosedK {
-		rt.lastClosedK = iv.k
-	}
-	// Prune far-past intervals; anything arriving for them is treated as
-	// late and forwarded as a pass-through. A pruned interval is recycled
-	// once it is closed with no timeout pending (the normal case: its
-	// deadline is bounded by roughly one period).
-	if old := rt.removeInterval(iv.k - 8); old != nil {
-		if old.closed && old.timeout == nil {
-			a.releaseInterval(old)
-		}
-	}
+	// A closed round leaves the table (anything arriving for it is late)
+	// and is recycled when this call is done with it. A round still open
+	// pruneLag rounds behind is detached too; its own deadline closes
+	// and recycles it.
+	rt.removeInterval(iv.k)
+	rt.removeInterval(iv.k - pruneLag)
+	defer a.releaseInterval(iv)
 
 	// Detach the scratch buffer while in use: onChildFailed can re-enter
 	// closeInterval (child removal closes other intervals), and the nested
@@ -793,7 +826,7 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 	a.shaper.ReportReceived(rep.Query, from, rep.Interval, rep.Phase)
 
 	iv := rt.interval(rep.Interval)
-	if iv == nil || iv.closed {
+	if iv == nil {
 		a.stats.LateReports++
 		a.handleLate(rt, rep)
 		return
@@ -829,7 +862,7 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 // keeps deep sources' data flowing to the root even when intermediate
 // deadlines fired, so root-side latency reflects true end-to-end delay.
 func (a *Agent) handleLate(rt *runtime, rep *Report) {
-	if iv := rt.interval(rep.Interval); iv != nil && !iv.closed {
+	if iv := rt.interval(rep.Interval); iv != nil {
 		iv.value = a.agg(iv.value, rep.Value)
 		iv.coverage += rep.Coverage
 		return
@@ -868,12 +901,10 @@ func (a *Agent) ChildRemoved(child NodeID) {
 	for rt := a.firstQuery(); rt != nil; rt = a.queryAfterID(rt.spec.ID) {
 		a.shaper.ChildRemoved(rt.spec.ID, child)
 		rt.dropMiss(child)
-		// intervalAfter, not a range: closing can prune intervals and
-		// re-enter via the failure handlers.
+		// intervalAfter, not a range: closing removes intervals and can
+		// re-enter via the failure handlers. The table holds open rounds
+		// only, and a recycled round keeps its k until it is reused.
 		for iv := rt.intervalAfter(-1); iv != nil; iv = rt.intervalAfter(iv.k) {
-			if iv.closed {
-				continue
-			}
 			i := iv.expectedIdx(child)
 			if i < 0 {
 				continue
@@ -921,8 +952,9 @@ func (a *Agent) Deregister(q ID) {
 		a.releaseInterval(iv)
 	}
 	rt.intervals = rt.intervals[:0]
-	for i, cur := range a.queries {
-		if cur == rt {
+	for i, id := range a.ids {
+		if id == q {
+			a.ids = append(a.ids[:i], a.ids[i+1:]...)
 			a.queries = append(a.queries[:i], a.queries[i+1:]...)
 			break
 		}

@@ -56,6 +56,9 @@ func (s State) String() string {
 	}
 }
 
+// IsOn reports whether s is a powered, usable state (Idle, Rx or Tx).
+func (s State) IsOn() bool { return s == Idle || s == Rx || s == Tx }
+
 // Config holds the radio's transition latencies.
 type Config struct {
 	// TurnOnDelay is tOFF→ON, the time to go from Off to Idle.
@@ -98,6 +101,7 @@ type Radio struct {
 	cfg Config
 
 	state      State
+	mirror     *State // written with state, before any listener runs
 	lastChange time.Duration
 	timeIn     [numStates]time.Duration
 
@@ -150,11 +154,22 @@ func (r *Radio) Config() Config { return r.cfg }
 func (r *Radio) State() State { return r.state }
 
 // IsOn reports whether the radio is powered and usable (Idle, Rx or Tx).
-func (r *Radio) IsOn() bool { return r.state == Idle || r.state == Rx || r.state == Tx }
+func (r *Radio) IsOn() bool { return r.state.IsOn() }
 
 // IsListening reports whether the radio can currently sense or receive
 // energy on the channel (Idle or Rx).
 func (r *Radio) IsListening() bool { return r.state == Idle || r.state == Rx }
+
+// MirrorState makes the radio keep *p equal to its state: *p is set now
+// and rewritten on every transition before any listener runs, so a
+// reader of *p never sees a stale state, even from inside a listener of
+// a nested transition. The channel keeps its station table's copy this
+// way instead of loading the radio per neighbor. A radio has one mirror;
+// a later call replaces it.
+func (r *Radio) MirrorState(p *State) {
+	r.mirror = p
+	*p = r.state
+}
 
 // CanReceive reports whether the radio can begin receiving a new frame.
 func (r *Radio) CanReceive() bool { return r.state == Idle }
@@ -185,6 +200,9 @@ func (r *Radio) setState(s State) {
 	r.timeIn[r.state] += now - r.lastChange
 	old := r.state
 	r.state = s
+	if r.mirror != nil {
+		*r.mirror = s
+	}
 	r.lastChange = now
 
 	if r.recordSleep {
